@@ -1,29 +1,25 @@
-// Reader throughput + tail latency: locked vs MVCC read path,
-// 1 writer + N readers on one session.
+// Reader scaling of the MVCC read path: 1 writer + N readers on one
+// session.
 //
 // One session holds an autofilled block (inputs + formula columns) in
 // which EVERY formula references A1. A writer thread overwrites A1 as
 // fast as acks come back — each write recalcs the whole block under the
-// session mutex — while N reader threads spin on GET (plus a periodic
-// GETRANGE row slice). The run repeats with the MVCC path disabled —
-// every read then queues on the session mutex behind those recalcs —
-// and with it enabled (the default), where a read is a thread-local
-// version lookup that never waits.
+// session mutex and publishes a new version — while N reader threads
+// spin on GET (plus a periodic GETRANGE row slice). A read is a
+// thread-local version lookup that never takes the session mutex, so
+// the aggregate read rate should grow with reader cores and no read
+// should stall for a recalc.
 //
-// Two observables, because they expose the same mechanism differently:
-//   * throughput — the aggregate GET rate. The locked path serializes
-//     readers on one mutex, so it plateaus at mutex-handoff rate no
-//     matter how many cores run readers; the MVCC path scales with
-//     reader cores. NOTE: on a single-CPU host both paths are bounded
-//     by one core's per-read cost and this ratio compresses toward 1x —
-//     the >= 5x separation needs the readers actually running in
-//     parallel.
-//   * read tail latency (sampled) — a locked reader that arrives while
-//     a recalc holds the mutex stalls for the whole pass; an MVCC
-//     reader never does. This separation shows up on ANY core count.
+// Two observables:
+//   * throughput — the aggregate GET rate per reader count, and its
+//     scaling over the 1-reader run. Readers only scale as far as the
+//     host has cores for them (the writer holds one).
+//   * read tail latency (sampled) — the max over every 64th read. A
+//     read never waits on the writer's recalc, so anything above a few
+//     microseconds is scheduler preemption.
 //
 // Profiles (TACO_BENCH_PROFILE): smoke = 0.2 s per run, default = 1 s,
-// paper = 3 s; reader counts {1, 4, 8}.
+// paper = 3 s; reader counts {1, 2, 4, 8}.
 
 #include <atomic>
 #include <cstdint>
@@ -43,8 +39,8 @@ constexpr int32_t kRows = 256;  // Input rows in column A.
 constexpr int32_t kCols = 4;    // A = inputs, B..D = formula columns.
 
 // Every formula references A1, so each write to A1 dirties the whole
-// 3*kRows formula block — the recalc runs under the session mutex, which
-// is exactly the wait the MVCC path spares readers from.
+// 3*kRows formula block: the writer holds the session mutex for a full
+// recalc per ack, which readers never wait on.
 void SeedBlock(WorkbookSession& session) {
   EditBatch batch;
   for (int32_t row = 1; row <= kRows; ++row) {
@@ -71,12 +67,11 @@ struct RunResult {
 
 /// One measured run: `readers` threads doing GET/GETRANGE for
 /// `duration_ms` while one writer overwrites A1 as fast as acks come
-/// back. `versioned` toggles the MVCC path on the session. Every 64th
-/// read is individually timed for the latency percentiles.
-RunResult Run(bool versioned, int readers, double duration_ms) {
+/// back. Every 64th read is individually timed for the latency
+/// percentiles.
+RunResult Run(int readers, double duration_ms) {
   WorkbookService service;
   auto session = *service.Open("bench");
-  session->EnableVersionedReads(versioned);
   SeedBlock(*session);
 
   std::atomic<bool> stop{false};
@@ -162,7 +157,7 @@ std::string FormatUs(double ms) {
 int main() {
   using namespace taco::bench;
 
-  PrintHeader("Read throughput: locked vs MVCC versioned reads",
+  PrintHeader("Read throughput: MVCC reader scaling",
               "service extension; 1 writer + N readers, one session");
 
   double duration_ms = 1000;
@@ -175,51 +170,39 @@ int main() {
 
   unsigned cores = std::thread::hardware_concurrency();
   std::printf("host cores: %u%s\n\n", cores,
-              cores <= 1 ? "  (single CPU: reader parallelism cannot "
-                           "manifest; compare the max-latency columns)"
+              cores <= 1 ? "  (single CPU: readers cannot scale; compare "
+                           "the max-latency column)"
                          : "");
 
-  TablePrinter table({"readers", "locked reads", "mvcc reads", "speedup",
-                      "locked max", "mvcc max", "locked writes",
-                      "mvcc writes"});
-  for (int readers : {1, 4, 8}) {
-    RunResult locked = Run(/*versioned=*/false, readers, duration_ms);
-    RunResult mvcc = Run(/*versioned=*/true, readers, duration_ms);
-    double speedup = locked.reads_per_sec > 0
-                         ? mvcc.reads_per_sec / locked.reads_per_sec
-                         : 0;
+  TablePrinter table({"readers", "reads", "scaling", "read p50", "read max",
+                      "writes"});
+  double one_reader_rate = 0;
+  for (int readers : {1, 2, 4, 8}) {
+    RunResult run = Run(readers, duration_ms);
+    if (readers == 1) one_reader_rate = run.reads_per_sec;
+    double scaling =
+        one_reader_rate > 0 ? run.reads_per_sec / one_reader_rate : 0;
     std::string r = std::to_string(readers);
-    for (const auto& [path, run] : {std::pair<const char*, RunResult&>{
-                                        "locked", locked},
-                                    {"mvcc", mvcc}}) {
-      ReportJsonMetric("bench_read_throughput",
-                       {"reads_per_sec", run.reads_per_sec, "1/s",
-                        {{"readers", r}, {"path", path}}});
-      ReportJsonMetric("bench_read_throughput",
-                       {"writes_per_sec", run.writes_per_sec, "1/s",
-                        {{"readers", r}, {"path", path}}});
-      ReportJsonMetric("bench_read_throughput",
-                       {"read_max_ms", run.read_max_ms, "ms",
-                        {{"readers", r}, {"path", path}}});
-    }
     ReportJsonMetric("bench_read_throughput",
-                     {"mvcc_speedup", speedup, "", {{"readers", r}}});
-    char speedup_str[32];
-    std::snprintf(speedup_str, sizeof(speedup_str), "%.1fx", speedup);
-    table.AddRow({std::to_string(readers) + "R",
-                  FormatRate(locked.reads_per_sec),
-                  FormatRate(mvcc.reads_per_sec), speedup_str,
-                  FormatUs(locked.read_max_ms), FormatUs(mvcc.read_max_ms),
-                  FormatRate(locked.writes_per_sec),
-                  FormatRate(mvcc.writes_per_sec)});
+                     {"reads_per_sec", run.reads_per_sec, "1/s",
+                      {{"readers", r}}});
+    ReportJsonMetric("bench_read_throughput",
+                     {"writes_per_sec", run.writes_per_sec, "1/s",
+                      {{"readers", r}}});
+    ReportJsonMetric("bench_read_throughput",
+                     {"read_max_ms", run.read_max_ms, "ms", {{"readers", r}}});
+    ReportJsonMetric("bench_read_throughput",
+                     {"reader_scaling", scaling, "", {{"readers", r}}});
+    char scaling_str[32];
+    std::snprintf(scaling_str, sizeof(scaling_str), "%.1fx", scaling);
+    table.AddRow({r + "R", FormatRate(run.reads_per_sec), scaling_str,
+                  FormatUs(run.read_p50_ms), FormatUs(run.read_max_ms),
+                  FormatRate(run.writes_per_sec)});
   }
   table.Print();
   std::printf(
-      "\nlocked = EnableVersionedReads(false): every GET takes the session\n"
-      "mutex, so readers queue behind the writer's full-block recalcs\n"
-      "(the max-latency column shows the stall) and serialize with each other\n"
-      "(the throughput columns separate as reader cores are added).\n"
-      "mvcc = default path: GET resolves against the published version —\n"
-      "no lock, no stall, scales with reader cores.\n");
+      "\nscaling = aggregate reads/s over the 1-reader run. GET resolves\n"
+      "against the published version — no lock, no stall behind the\n"
+      "writer's full-block recalcs.\n");
   return 0;
 }

@@ -172,9 +172,7 @@ int main(int argc, char** argv) {
                                   : Tour(call);
   }
 
-  WorkbookServiceOptions options;
-  options.worker_threads = 2;
-  WorkbookService service(options);
+  WorkbookService service;
   CommandProcessor processor(&service);
   Transport call = [&processor](const std::string& command) {
     return processor.Execute(command);

@@ -2,7 +2,7 @@
 //
 // A ValueVersion is the committed cell->value state of one session at one
 // recalc commit, published as a refcounted immutable object so readers
-// can serve GET/GETRANGE with a single atomic shared_ptr load: no session
+// can serve GET/GETRANGE from one shared pointer to it: no session
 // mutex, no evaluator-cache mutation, and no possibility of observing a
 // torn mid-recalc state. Writers build the next version UNDER the session
 // lock (right after the recalc commit — the same barrier the wave

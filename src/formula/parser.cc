@@ -1,5 +1,7 @@
 #include "formula/parser.h"
 
+#include <algorithm>
+
 #include "formula/lexer.h"
 
 namespace taco {
@@ -19,6 +21,18 @@ class Parser {
   }
 
  private:
+  /// Counts one open recursive construct (parenthesis, call, unary sign,
+  /// '^' operand) for its lifetime. The open count never exceeds the
+  /// depth the finished tree would have, so failing past the bound only
+  /// rejects formulas the depth check would reject anyway, but before
+  /// they can exhaust the stack.
+  struct NestingGuard {
+    explicit NestingGuard(int* open) : open(open) { ++*open; }
+    ~NestingGuard() { --*open; }
+    bool exceeded() const { return *open > kMaxFormulaDepth; }
+    int* open;
+  };
+
   const Token& Peek() const { return tokens_[pos_]; }
   const Token& Advance() { return tokens_[pos_++]; }
   bool Match(TokenKind kind) {
@@ -32,6 +46,20 @@ class Parser {
         "expected " + std::string(expected) + " but found " +
         std::string(TokenKindToString(Peek().kind)) + " at offset " +
         std::to_string(Peek().offset));
+  }
+
+  Status TooDeep() const {
+    return Status::ParseError("formula nests deeper than " +
+                              std::to_string(kMaxFormulaDepth) +
+                              " levels at offset " +
+                              std::to_string(Peek().offset));
+  }
+
+  /// Records that the node just built wraps operands of depth `inner`;
+  /// false once that passes the bound.
+  bool Deepen(int inner) {
+    depth_ = inner + 1;
+    return depth_ <= kMaxFormulaDepth;
   }
 
   Result<ExprPtr> ParseComparison() {
@@ -51,8 +79,10 @@ class Parser {
           return expr;
       }
       Advance();
+      int lhs_depth = depth_;
       auto rhs = ParseConcat();
       if (!rhs.ok()) return rhs;
+      if (!Deepen(std::max(lhs_depth, depth_))) return TooDeep();
       expr = std::make_unique<BinaryExpr>(op, std::move(expr), std::move(*rhs));
     }
   }
@@ -62,8 +92,10 @@ class Parser {
     if (!lhs.ok()) return lhs;
     ExprPtr expr = std::move(*lhs);
     while (Match(TokenKind::kAmpersand)) {
+      int lhs_depth = depth_;
       auto rhs = ParseAdditive();
       if (!rhs.ok()) return rhs;
+      if (!Deepen(std::max(lhs_depth, depth_))) return TooDeep();
       expr = std::make_unique<BinaryExpr>(BinaryOp::kConcat, std::move(expr),
                                           std::move(*rhs));
     }
@@ -84,8 +116,10 @@ class Parser {
         return expr;
       }
       Advance();
+      int lhs_depth = depth_;
       auto rhs = ParseMultiplicative();
       if (!rhs.ok()) return rhs;
+      if (!Deepen(std::max(lhs_depth, depth_))) return TooDeep();
       expr = std::make_unique<BinaryExpr>(op, std::move(expr), std::move(*rhs));
     }
   }
@@ -104,8 +138,10 @@ class Parser {
         return expr;
       }
       Advance();
+      int lhs_depth = depth_;
       auto rhs = ParseExponent();
       if (!rhs.ok()) return rhs;
+      if (!Deepen(std::max(lhs_depth, depth_))) return TooDeep();
       expr = std::make_unique<BinaryExpr>(op, std::move(expr), std::move(*rhs));
     }
   }
@@ -115,8 +151,12 @@ class Parser {
     if (!lhs.ok()) return lhs;
     if (Match(TokenKind::kCaret)) {
       // Right associative: recurse at the same level.
+      int lhs_depth = depth_;
+      NestingGuard guard(&open_);
+      if (guard.exceeded()) return TooDeep();
       auto rhs = ParseExponent();
       if (!rhs.ok()) return rhs;
+      if (!Deepen(std::max(lhs_depth, depth_))) return TooDeep();
       return ExprPtr(std::make_unique<BinaryExpr>(
           BinaryOp::kPow, std::move(*lhs), std::move(*rhs)));
     }
@@ -124,19 +164,17 @@ class Parser {
   }
 
   Result<ExprPtr> ParseUnary() {
-    if (Match(TokenKind::kMinus)) {
-      auto operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      return ExprPtr(
-          std::make_unique<UnaryExpr>(UnaryOp::kNegate, std::move(*operand)));
+    if (Peek().kind != TokenKind::kMinus && Peek().kind != TokenKind::kPlus) {
+      return ParsePostfix();
     }
-    if (Match(TokenKind::kPlus)) {
-      auto operand = ParseUnary();
-      if (!operand.ok()) return operand;
-      return ExprPtr(
-          std::make_unique<UnaryExpr>(UnaryOp::kPlus, std::move(*operand)));
-    }
-    return ParsePostfix();
+    UnaryOp op = Advance().kind == TokenKind::kMinus ? UnaryOp::kNegate
+                                                     : UnaryOp::kPlus;
+    NestingGuard guard(&open_);
+    if (guard.exceeded()) return TooDeep();
+    auto operand = ParseUnary();
+    if (!operand.ok()) return operand;
+    if (!Deepen(depth_)) return TooDeep();
+    return ExprPtr(std::make_unique<UnaryExpr>(op, std::move(*operand)));
   }
 
   Result<ExprPtr> ParsePostfix() {
@@ -144,6 +182,7 @@ class Parser {
     if (!primary.ok()) return primary;
     ExprPtr expr = std::move(*primary);
     while (Match(TokenKind::kPercent)) {
+      if (!Deepen(depth_)) return TooDeep();
       expr = std::make_unique<UnaryExpr>(UnaryOp::kPercent, std::move(expr));
     }
     return expr;
@@ -151,6 +190,7 @@ class Parser {
 
   Result<ExprPtr> ParsePrimary() {
     const Token& token = Peek();
+    depth_ = 0;  // Leaves; the cases that nest set it again below.
     switch (token.kind) {
       case TokenKind::kNumber: {
         double value = token.number;
@@ -173,11 +213,14 @@ class Parser {
         return ParseCall();
       case TokenKind::kLParen: {
         Advance();
+        NestingGuard guard(&open_);
+        if (guard.exceeded()) return TooDeep();
         auto inner = ParseComparison();
         if (!inner.ok()) return inner;
         if (!Match(TokenKind::kRParen)) {
           return UnexpectedToken("')'");
         }
+        if (!Deepen(depth_)) return TooDeep();
         return inner;
       }
       default:
@@ -213,23 +256,30 @@ class Parser {
     if (!Match(TokenKind::kLParen)) {
       return UnexpectedToken("'(' after function name");
     }
+    NestingGuard guard(&open_);
+    if (guard.exceeded()) return TooDeep();
     std::vector<ExprPtr> args;
+    int deepest_arg = 0;
     if (!Match(TokenKind::kRParen)) {
       while (true) {
         auto arg = ParseComparison();
         if (!arg.ok()) return arg;
+        deepest_arg = std::max(deepest_arg, depth_);
         args.push_back(std::move(*arg));
         if (Match(TokenKind::kComma)) continue;
         if (Match(TokenKind::kRParen)) break;
         return UnexpectedToken("',' or ')'");
       }
     }
+    if (!Deepen(deepest_arg)) return TooDeep();
     return ExprPtr(
         std::make_unique<CallExpr>(std::move(fn_name), std::move(args)));
   }
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< Nesting depth of the expression parsed last.
+  int open_ = 0;   ///< Recursive constructs open on the parse stack.
 };
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <string>
 #include <utility>
 
-#include "common/ascii.h"
 #include "common/clock.h"
 #include "obs/log.h"
 #include "service/metrics.h"
@@ -380,114 +379,12 @@ void SocketServer::ServeConnection(Connection* conn) {
     return;
   }
   SocketResponseWriter writer(conn->fd, wake_read_);
-
-  std::string inbuf;     // Raw bytes not yet split into lines.
-  std::string pending;   // Command under assembly (BATCH header + body).
-  int body_needed = 0;   // Body lines still owed to `pending`.
-  bool discarding = false;  // Skipping the tail of an oversized line.
-  bool closing = false;
-
-  auto dispatch = [&](std::string_view command) {
-    counters.commands.fetch_add(1);
-    if (!writer.Emit(processor_.Execute(command))) closing = true;
-  };
-
-  // One complete line (terminator stripped; may still carry a '\r',
-  // which the processor tolerates).
-  auto feed_line = [&](std::string_view line) {
-    if (body_needed > 0) {
-      pending += '\n';
-      pending += line;
-      if (--body_needed == 0) {
-        dispatch(pending);
-        pending.clear();
-      }
-      return;
-    }
-    std::string_view word = line.substr(0, line.find_first_of(" \t\r"));
-    if (EqualsIgnoreCaseAscii(word, "QUIT") ||
-        EqualsIgnoreCaseAscii(word, "EXIT")) {
-      closing = true;  // Mirror stdin: end of stream, no response.
-      return;
-    }
-    int extra = CommandProcessor::ExtraBodyLines(line);
-    if (extra < 0) {
-      // Unframeable BATCH header: report and close — the body length is
-      // unknowable, so the rest of the stream cannot be trusted.
-      dispatch(line);
-      closing = true;
-      return;
-    }
-    if (extra == 0) {
-      dispatch(line);
-    } else {
-      pending.assign(line);
-      body_needed = extra;
-    }
-  };
-
-  // A line blew the bound (`prefix` is what arrived before we stopped
-  // buffering). Never buffered further: the command is lost by design,
-  // but the framing is not — a body line consumes its slot (the batch
-  // response then names it unparseable), a header line gets its own
-  // error response. One exception: a header whose first word is BATCH
-  // is *unframeable* — its body-line count was in the dropped bytes —
-  // so it gets the poison treatment (ERR + close) rather than letting
-  // its body lines execute as commands against other sessions.
-  auto oversized = [&](std::string_view prefix) {
-    counters.oversized.fetch_add(1);
-    if (body_needed > 0) {
-      feed_line("");
-      return;
-    }
-    // Tokenize the way ExtraBodyLines does (leading whitespace skipped)
-    // so " BATCH ..." cannot sneak past the check below.
-    size_t start = prefix.find_first_not_of(" \t");
-    prefix = start == std::string_view::npos ? std::string_view{}
-                                             : prefix.substr(start);
-    std::string_view word = prefix.substr(0, prefix.find_first_of(" \t\r"));
-    bool unframeable = EqualsIgnoreCaseAscii(word, "BATCH");
-    if (!writer.Emit("ERR InvalidArgument: line exceeds " +
-                     std::to_string(options_.max_line_bytes) + " bytes" +
-                     (unframeable ? "; BATCH frame unknowable, closing"
-                                  : "")) ||
-        unframeable) {
-      closing = true;
-    }
-  };
-
-  auto drain_lines = [&] {
-    // Consume via an offset and erase once: front-erasing per line
-    // would memmove the rest of the buffer for every pipelined command.
-    size_t begin = 0;
-    size_t nl;
-    while (!closing &&
-           (nl = inbuf.find('\n', begin)) != std::string::npos) {
-      std::string_view line =
-          std::string_view(inbuf).substr(begin, nl - begin);
-      if (discarding) {
-        discarding = false;  // The dropped line's tail ends here.
-      } else if (line.size() > options_.max_line_bytes) {
-        oversized(line);
-      } else {
-        feed_line(line);
-      }
-      begin = nl + 1;
-    }
-    inbuf.erase(0, begin);
-    if (closing) return;
-    if (discarding) {
-      inbuf.clear();
-    } else if (inbuf.size() > options_.max_line_bytes) {
-      oversized(inbuf);
-      discarding = true;
-      inbuf.clear();
-    }
-  };
+  CommandFramer framer(&processor_, &writer, &counters,
+                       options_.max_line_bytes);
 
   char chunk[4096];
   bool peer_eof = false;
-  while (!closing && !shutdown_.load()) {
+  while (!framer.closed() && !shutdown_.load()) {
     int timeout =
         options_.idle_timeout_ms > 0 ? options_.idle_timeout_ms : -1;
     WaitResult wait = WaitFor(conn->fd, POLLIN, wake_read_, timeout);
@@ -511,22 +408,11 @@ void SocketServer::ServeConnection(Connection* conn) {
       peer_eof = true;
       break;
     }
-    inbuf.append(chunk, static_cast<size_t>(n));
-    drain_lines();
+    framer.Feed(std::string_view(chunk, static_cast<size_t>(n)));
   }
 
-  // EOF mid-frame: execute what arrived, exactly like the stdin loop
-  // when getline fails inside a BATCH body. An unterminated final line
-  // counts as a line (a stream ending without a newline still said it).
-  if (peer_eof && !closing && !shutdown_.load()) {
-    if (!inbuf.empty() && !discarding) {
-      feed_line(inbuf);
-    }
-    if (body_needed > 0 && !closing) {
-      body_needed = 0;
-      dispatch(pending);
-    }
-  }
+  // EOF mid-frame executes what arrived, exactly like stdin at EOF.
+  if (peer_eof && !shutdown_.load()) framer.Finish();
 
   ::close(conn->fd);
   conn->fd = -1;

@@ -4,30 +4,14 @@
 // serve the SAME sessions, metrics, and recalc pools.
 //
 // Model: one accept thread plus one thread per connection. Each
-// connection owns a read buffer with partial-line reassembly (commands
-// may arrive torn across packets, CRLF or LF terminated), frames BATCH
-// bodies with CommandProcessor::ExtraBodyLines, executes each complete
-// command synchronously on its own thread, and writes the response as
-// one atomic unit (ResponseWriter contract). Two clients editing one
-// session serialize on the session lock exactly like two stdin
-// commands; a client's next command always observes its previous
-// response's effects.
-//
-// Framing hazards are handled the way taco_serve's stdin loop does, and
-// then some:
-//   - a line longer than `max_line_bytes` is dropped with a single
-//     "ERR InvalidArgument: line exceeds ..." response instead of
-//     buffering without bound; the connection survives. Inside a BATCH
-//     body the dropped line consumes its body slot (the batch response
-//     then reports that line unparseable) so the frame never slips. An
-//     oversized line whose first word is BATCH is treated as an
-//     unframeable header (below) — its count was in the dropped bytes.
-//   - an unframeable BATCH header (bad or oversized count) gets its ERR
-//     response and then the connection closes — the body length is
-//     unknowable, so reinterpreting body lines as commands would
-//     silently address other sessions.
-//   - EOF in the middle of a BATCH body executes the partial frame
-//     (matching stdin-at-EOF) before closing.
+// connection feeds its bytes to its own CommandFramer (protocol.h) — the
+// same framing taco_serve's stdin loop uses: partial-line reassembly,
+// BATCH bodies, the `max_line_bytes` bound, unframeable-header close,
+// and EOF mid-frame. Every complete command executes synchronously on
+// the connection's thread, and its response is written as one atomic
+// unit (ResponseWriter contract). Two clients editing one session
+// serialize on the session lock; a client's next command always
+// observes its previous response's effects.
 //
 // Shutdown() is graceful: stop accepting, wake every connection (they
 // finish the command in flight and emit its response first), join all
@@ -67,7 +51,8 @@ struct SocketServerOptions {
   uint16_t port = 0;            ///< 0 = ephemeral; read back via port().
   int max_clients = 64;         ///< Concurrent connections; extras refused.
   int idle_timeout_ms = 0;      ///< Close silent connections; 0 = never.
-  size_t max_line_bytes = 64 * 1024;  ///< Per-line bound (see above).
+  /// Per-line bound (see CommandFramer).
+  size_t max_line_bytes = CommandFramer::kDefaultMaxLineBytes;
 
   /// When set, this listener speaks minimal HTTP instead of the line
   /// protocol: a GET's path (query string stripped — Prometheus

@@ -24,13 +24,13 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::string_view key, std::function<void()> task) {
-  Enqueue(std::hash<std::string_view>{}(key) % queues_.size(),
-          std::move(task));
-}
-
 void ThreadPool::Submit(std::function<void()> task) {
-  Enqueue(next_queue_.fetch_add(1) % queues_.size(), std::move(task));
+  Queue& queue = *queues_[next_queue_.fetch_add(1) % queues_.size()];
+  {
+    std::lock_guard<std::mutex> lock(queue.mu);
+    queue.tasks.push_back(std::move(task));
+  }
+  queue.cv.notify_one();
 }
 
 void ThreadPool::Submit(WaitGroup* group, std::function<void()> task) {
@@ -41,15 +41,6 @@ void ThreadPool::Submit(WaitGroup* group, std::function<void()> task) {
     task();
     group->Done();
   });
-}
-
-void ThreadPool::Enqueue(size_t index, std::function<void()> task) {
-  Queue& queue = *queues_[index];
-  {
-    std::lock_guard<std::mutex> lock(queue.mu);
-    queue.tasks.push_back(std::move(task));
-  }
-  queue.cv.notify_one();
 }
 
 void ThreadPool::WorkerLoop(size_t index) {

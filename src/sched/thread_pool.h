@@ -1,18 +1,11 @@
-// A small fixed-size worker pool with per-key queue affinity, plus the
-// WaitGroup completion primitive the recalc scheduler's wave barriers
-// are built on.
+// A small fixed-size worker pool, plus the WaitGroup completion
+// primitive the recalc scheduler's wave barriers are built on.
 //
-// The workbook service needs two properties from its executor: commands
-// against different sessions should run in parallel, while commands
-// against the SAME session must apply in submission order (a text
-// protocol has no other way to express ordering). Instead of one shared
-// queue — which would let two edits to one session race to its lock and
-// apply out of order — each worker owns a queue and keyed submissions
-// hash to a fixed worker. Same key, same worker, same order.
-//
-// The recalc scheduler needs a third property: submit a batch of tasks
-// and block until ALL of them have finished (a wave barrier). WaitGroup
-// provides it without coupling the pool to any scheduler type.
+// The recalc scheduler submits a batch of tasks and blocks until ALL of
+// them have finished (a wave barrier). Each worker owns a queue and
+// submissions go round robin, so N consecutive tasks land on N distinct
+// workers; WaitGroup provides the barrier without coupling the pool to
+// any scheduler type.
 
 #ifndef TACO_SCHED_THREAD_POOL_H_
 #define TACO_SCHED_THREAD_POOL_H_
@@ -24,7 +17,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -77,18 +69,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues `task` on the worker owning `key`. Tasks with equal keys
-  /// execute in submission order.
-  void Submit(std::string_view key, std::function<void()> task);
-
-  /// Enqueues `task` on the least-loaded-ish worker (round robin); no
-  /// ordering guarantee relative to other tasks.
+  /// Enqueues `task` on the next worker (round robin); no ordering
+  /// guarantee relative to other tasks.
   void Submit(std::function<void()> task);
 
   /// Enqueues `task` under `group`: the group is Add'ed before the task
   /// is queued and Done'd after it runs, so `group->Wait()` blocks until
   /// every task submitted under it has finished. Round-robin placement
-  /// like the unkeyed Submit — N consecutive submissions land on N
+  /// like the plain Submit — N consecutive submissions land on N
   /// distinct workers (N <= pool size), which is what the wave
   /// scheduler's per-context tasks need.
   void Submit(WaitGroup* group, std::function<void()> task);
@@ -102,7 +90,6 @@ class ThreadPool {
     std::deque<std::function<void()>> tasks;
   };
 
-  void Enqueue(size_t index, std::function<void()> task);
   void WorkerLoop(size_t index);
 
   std::vector<std::unique_ptr<Queue>> queues_;

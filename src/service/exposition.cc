@@ -140,7 +140,7 @@ std::string RenderServiceExposition(WorkbookService& service) {
   b.Sample("taco_transport_connections_open", {},
            static_cast<double>(t.open.load(std::memory_order_relaxed)));
   b.Family("taco_transport_commands_total",
-           "Framed commands dispatched over sockets.", "counter");
+           "Framed commands dispatched (sockets and stdin).", "counter");
   b.Sample("taco_transport_commands_total", {},
            static_cast<double>(t.commands.load(std::memory_order_relaxed)));
   b.Family("taco_transport_oversized_lines_total",
@@ -275,17 +275,17 @@ std::string RenderServiceExposition(WorkbookService& service) {
            "Seconds since this process started.", "gauge");
   b.Sample("taco_process_uptime_seconds", {}, proc.uptime_seconds);
 
-  // Per-session gauges. SessionNames() is sorted, so the series order is
-  // deterministic for a given session population.
+  // Per-session gauges, from a read-only snapshot of the resident set:
+  // a scrape must not re-stamp LRU ticks, run eviction, or reload a
+  // parked session. The snapshot is sorted by name, so the series order
+  // is deterministic for a given session population.
   struct SessionRow {
     std::string name;
     SessionStats stats;
   };
   std::vector<SessionRow> rows;
-  for (const std::string& name : service.SessionNames()) {
-    auto session = service.Get(name);
-    if (!session.ok()) continue;  // Closed between listing and lookup.
-    rows.push_back({name, (*session)->Stats()});
+  for (const auto& session : service.ResidentSessions()) {
+    rows.push_back({session->name(), session->Stats()});
   }
   b.Family("taco_session_cells", "Non-blank cells in the session sheet.",
            "gauge");
@@ -336,12 +336,6 @@ std::string RenderServiceExposition(WorkbookService& service) {
   for (const auto& row : rows) {
     b.Sample("taco_session_reads_versioned_total", {{"session", row.name}},
              static_cast<double>(row.stats.reads_versioned));
-  }
-  b.Family("taco_session_reads_locked_total",
-           "Reads served under the session lock.", "counter");
-  for (const auto& row : rows) {
-    b.Sample("taco_session_reads_locked_total", {{"session", row.name}},
-             static_cast<double>(row.stats.reads_locked));
   }
 
   return std::move(b).Finish();

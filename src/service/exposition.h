@@ -3,7 +3,7 @@
 // One function renders everything a scrape wants: per-op latency
 // histograms (+ precomputed quantile gauges), traffic/error counters,
 // recalc phase totals, transport/storage counters, and per-session
-// gauges (cells, versions, WAL bytes, read-path split). Served by the
+// gauges (cells, versions, WAL bytes, reads). Served by the
 // METRICS protocol verb and by taco_serve's HTTP GET /metrics listener
 // — both return these bytes, so a scrape sees the same truth as a
 // protocol client.

@@ -72,9 +72,9 @@ struct OpStats {
   double MeanMs() const { return count ? total_ms / double(count) : 0; }
 };
 
-/// Socket-transport counters, bumped lock-free by taco_net's SocketServer
-/// and rendered on the service-wide STATS report. All zero when the
-/// service only ever speaks stdin/stdout.
+/// Transport counters, bumped lock-free by taco_net's SocketServer (the
+/// connection fields) and by every CommandFramer (commands, oversized
+/// lines; stdin included), rendered on the service-wide STATS report.
 struct TransportCounters {
   std::atomic<uint64_t> accepted{0};      ///< Connections ever accepted.
   std::atomic<uint64_t> rejected{0};      ///< Refused over max-clients.

@@ -138,7 +138,6 @@ std::string SessionStatsReport(const SessionStats& stats) {
   out += " version=" + std::to_string(stats.version);
   out += " versions=" + std::to_string(stats.versions_published);
   out += " reads_versioned=" + std::to_string(stats.reads_versioned);
-  out += " reads_locked=" + std::to_string(stats.reads_locked);
   out += " wal_failed=" + std::to_string(stats.wal_failed ? 1 : 0);
   out += " path=" + (stats.path.empty() ? "(none)" : stats.path);
   return out;
@@ -183,13 +182,6 @@ bool CommandProcessor::ResponseContinues(std::string_view first_line) {
          first_line.starts_with("OK metrics") ||
          first_line.starts_with("OK trace") ||
          first_line.starts_with("OK explain");
-}
-
-std::string_view CommandProcessor::DispatchKey(std::string_view header_line) {
-  std::string_view rest = TrimCr(header_line);
-  std::string_view cmd = NextToken(&rest);
-  std::string_view name = NextToken(&rest);
-  return name.empty() ? cmd : name;
 }
 
 int CommandProcessor::ExtraBodyLines(std::string_view header_line) {
@@ -353,10 +345,9 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
     char buffer[192];
     std::snprintf(buffer, sizeof(buffer),
                   "OK service resident=%zu parked=%zu evictions=%llu "
-                  "workers=%d recalc_workers=%d\n",
+                  "recalc_workers=%d\n",
                   service_->resident_sessions(), service_->parked_sessions(),
                   static_cast<unsigned long long>(service_->evictions()),
-                  service_->pool().num_threads(),
                   service_->recalc_threads());
     const TransportCounters& t = service_->metrics().transport();
     char conn[192];
@@ -587,8 +578,7 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
     RangeSnapshot snapshot = (*session)->GetRange(ref->range);
     // Multi-line: header, one VALUE line per non-blank cell (in
     // EnumerateCells order — the version makes them one consistent
-    // cut), then the terminator SocketClient frames on. version=0 means
-    // the session had never published and the lock served the read.
+    // cut), then the terminator SocketClient frames on.
     std::string out = "OK range " + ref->range.ToString() +
                       " version=" + std::to_string(snapshot.version) +
                       " cells=" + std::to_string(snapshot.values.size());
@@ -684,6 +674,117 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
   return "ERR InvalidArgument: unknown command '" + std::string(cmd) +
          "' (OPEN/LOAD/SAVE/CHECKPOINT/STORAGE/CLOSE/SET/FORMULA/GET/"
          "GETRANGE/CLEAR/BATCH/RECALC/EXPLAIN/STATS/LIST/METRICS/TRACE)";
+}
+
+CommandFramer::CommandFramer(CommandProcessor* processor,
+                             ResponseWriter* writer,
+                             TransportCounters* counters,
+                             size_t max_line_bytes)
+    : processor_(processor),
+      writer_(writer),
+      counters_(counters),
+      max_line_bytes_(max_line_bytes) {}
+
+void CommandFramer::Feed(std::string_view bytes) {
+  if (closed_) return;
+  inbuf_.append(bytes);
+  // Consume via an offset and erase once: front-erasing per line would
+  // memmove the rest of the buffer for every pipelined command.
+  size_t begin = 0;
+  size_t nl;
+  while (!closed_ && (nl = inbuf_.find('\n', begin)) != std::string::npos) {
+    std::string_view line =
+        std::string_view(inbuf_).substr(begin, nl - begin);
+    if (discarding_) {
+      discarding_ = false;  // The dropped line's tail ends here.
+    } else if (line.size() > max_line_bytes_) {
+      Oversized(line);
+    } else {
+      FeedLine(line);
+    }
+    begin = nl + 1;
+  }
+  inbuf_.erase(0, begin);
+  if (closed_) return;
+  if (discarding_) {
+    inbuf_.clear();
+  } else if (inbuf_.size() > max_line_bytes_) {
+    Oversized(inbuf_);
+    discarding_ = true;
+    inbuf_.clear();
+  }
+}
+
+void CommandFramer::Finish() {
+  if (closed_) return;
+  if (!inbuf_.empty() && !discarding_) {
+    // Moved out first: FeedLine may dispatch, and the line must not
+    // alias a buffer the framer still owns.
+    std::string last = std::move(inbuf_);
+    FeedLine(last);
+  }
+  if (body_needed_ > 0 && !closed_) {
+    body_needed_ = 0;
+    Dispatch(pending_);
+  }
+  closed_ = true;
+}
+
+// One complete line (terminator stripped; may still carry a '\r', which
+// the processor tolerates).
+void CommandFramer::FeedLine(std::string_view line) {
+  if (body_needed_ > 0) {
+    pending_ += '\n';
+    pending_ += line;
+    if (--body_needed_ == 0) {
+      Dispatch(pending_);
+      pending_.clear();
+    }
+    return;
+  }
+  std::string_view word = line.substr(0, line.find_first_of(" \t\r"));
+  if (EqualsIgnoreCase(word, "QUIT") || EqualsIgnoreCase(word, "EXIT")) {
+    closed_ = true;
+    return;
+  }
+  int extra = CommandProcessor::ExtraBodyLines(line);
+  if (extra < 0) {
+    Dispatch(line);  // Reports the error; then the stream is untrusted.
+    closed_ = true;
+  } else if (extra == 0) {
+    Dispatch(line);
+  } else {
+    pending_.assign(line);
+    body_needed_ = extra;
+  }
+}
+
+// `prefix` is what arrived of the line before buffering stopped.
+void CommandFramer::Oversized(std::string_view prefix) {
+  counters_->oversized.fetch_add(1);
+  if (body_needed_ > 0) {
+    FeedLine("");
+    return;
+  }
+  // Tokenize the way ExtraBodyLines does (leading whitespace skipped) so
+  // " BATCH ..." cannot sneak past the check below.
+  size_t start = prefix.find_first_not_of(" \t");
+  prefix = start == std::string_view::npos ? std::string_view{}
+                                           : prefix.substr(start);
+  std::string_view word = prefix.substr(0, prefix.find_first_of(" \t\r"));
+  bool unframeable = EqualsIgnoreCase(word, "BATCH");
+  if (!writer_->Emit("ERR InvalidArgument: line exceeds " +
+                     std::to_string(max_line_bytes_) + " bytes" +
+                     (unframeable ? "; BATCH frame unknowable, closing"
+                                  : "")) ||
+      unframeable) {
+    closed_ = true;
+  }
+}
+
+void CommandFramer::Dispatch(std::string_view command) {
+  counters_->commands.fetch_add(1);
+  if (!writer_->Emit(processor_->Execute(command))) closed_ = true;
 }
 
 }  // namespace taco

@@ -42,8 +42,9 @@
 //
 // The processor is stateless and thread-safe: a complete command (header
 // plus any BATCH body lines) goes in as one string, the response comes
-// back as one string. Framing — collecting the BATCH body lines — is the
-// transport's job (taco_serve does it for stdin).
+// back as one string. Framing a byte stream into such commands is
+// CommandFramer's job, and every transport (taco_serve's stdin loop, each
+// socket connection) uses that one framer.
 
 #ifndef TACO_SERVICE_PROTOCOL_H_
 #define TACO_SERVICE_PROTOCOL_H_
@@ -114,14 +115,6 @@ class CommandProcessor {
   /// would silently address other sessions.
   static int ExtraBodyLines(std::string_view header_line);
 
-  /// The ordering key a transport should dispatch this command under:
-  /// the session name (second token) for session-addressed commands, the
-  /// command word itself for session-less ones (LIST, STATS). Commands
-  /// with equal keys must execute in submission order; taco_serve feeds
-  /// this to ThreadPool::Submit's keyed overload. The returned view
-  /// aliases `header_line`.
-  static std::string_view DispatchKey(std::string_view header_line);
-
   /// Response framing for remote clients: almost every response is one
   /// line, but the service-wide STATS report and GETRANGE span several.
   /// A response whose FIRST line satisfies this predicate continues
@@ -141,6 +134,63 @@ class CommandProcessor {
   std::string ExecuteInner(std::string_view command_text);
 
   WorkbookService* service_;
+};
+
+/// The line framing every transport shares. The transport feeds it the
+/// raw bytes of one in-order stream; it splits them into lines (LF or
+/// CRLF, torn anywhere), collects each BATCH header's body lines with
+/// ExtraBodyLines, executes every complete command and emits its
+/// response, in arrival order. Framing hazards:
+///   - a line longer than `max_line_bytes` is never buffered: it gets one
+///     "ERR InvalidArgument: line exceeds ..." response and the stream
+///     survives. Inside a BATCH body the dropped line still consumes its
+///     body slot (the batch response then names it unparseable), so the
+///     frame never slips. An oversized line whose first word is BATCH
+///     is an unframeable header (below): its count was in the dropped
+///     bytes.
+///   - an unframeable BATCH header (bad, missing or oversized count) gets
+///     its ERR response and then the stream closes: the body length is
+///     unknowable, and reading body lines as commands would silently
+///     address other sessions.
+///   - QUIT or EXIT closes the stream without a response.
+///   - at end of input an unterminated final line still counts, and a
+///     BATCH cut short executes with the body lines that arrived.
+/// Not thread-safe: one framer per stream.
+class CommandFramer {
+ public:
+  static constexpr size_t kDefaultMaxLineBytes = 64 * 1024;
+
+  /// Every pointer must outlive the framer. `counters` receives the
+  /// executed-command and dropped-line counts.
+  CommandFramer(CommandProcessor* processor, ResponseWriter* writer,
+                TransportCounters* counters,
+                size_t max_line_bytes = kDefaultMaxLineBytes);
+
+  /// Consumes the next bytes of the stream. Ignored once closed().
+  void Feed(std::string_view bytes);
+
+  /// End of input: flushes an unterminated final line and a BATCH cut
+  /// short, then closes.
+  void Finish();
+
+  /// True after QUIT/EXIT, an unframeable BATCH header, a response the
+  /// writer could not deliver, or Finish().
+  bool closed() const { return closed_; }
+
+ private:
+  void FeedLine(std::string_view line);
+  void Oversized(std::string_view prefix);
+  void Dispatch(std::string_view command);
+
+  CommandProcessor* processor_;
+  ResponseWriter* writer_;
+  TransportCounters* counters_;
+  size_t max_line_bytes_;
+  std::string inbuf_;       ///< Bytes not yet split into lines.
+  std::string pending_;     ///< BATCH header plus the body lines so far.
+  int body_needed_ = 0;     ///< Body lines still owed to `pending_`.
+  bool discarding_ = false; ///< Skipping the tail of an oversized line.
+  bool closed_ = false;
 };
 
 }  // namespace taco

@@ -4,8 +4,7 @@
 // --listen <port> (src/net/socket_server.h): N concurrent clients share
 // the same sessions, metrics, and recalc pools the stdin loop uses.
 //
-//   $ ./taco_serve [--threads N] [--recalc-threads N] [--cutoff]
-//                  [--backend NAME]
+//   $ ./taco_serve [--recalc-threads N] [--cutoff] [--backend NAME]
 //                  [--max-resident N] [--metrics-port P] [--slow-op-ms T]
 //                  [--log-file PATH] [--log-level L] [--log-format F]
 //                  [script]
@@ -20,10 +19,9 @@
 // for logfmt) through a non-blocking bounded queue; SIGHUP reopens the
 // file for logrotate without losing events.
 //
-// Stdin mode responses are printed in request order, but execution is
-// dispatched onto the service's worker pool: commands for different
-// sessions run in parallel, commands for one session keep their order
-// (per-key queue affinity, see thread_pool.h). In listen mode each
+// Stdin mode is one in-order connection on the main thread: the input
+// goes through the same CommandFramer a socket connection uses, and each
+// command executes before the next is read. In listen mode each
 // connection executes its commands in arrival order on its own thread;
 // SIGINT/SIGTERM shut down gracefully (in-flight commands finish and
 // their responses are written before connections close).
@@ -31,6 +29,7 @@
 // Diagnostics go to stderr; stdout carries only protocol responses.
 
 #include <errno.h>
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -39,16 +38,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
-#include <fstream>
-#include <future>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
 
-#include "common/ascii.h"
 #include "net/socket_server.h"
 #include "obs/log.h"
 #include "service/exposition.h"
@@ -166,10 +160,9 @@ int RunListenMode(WorkbookService* service, const SocketServerOptions& opts,
 
   std::fprintf(stderr,
                "taco_serve listening on %s:%u (max_clients=%d "
-               "idle_timeout_ms=%d workers=%d recalc_workers=%d)\n",
+               "idle_timeout_ms=%d recalc_workers=%d)\n",
                opts.bind_address.c_str(), server.port(), opts.max_clients,
-               opts.idle_timeout_ms, service->pool().num_threads(),
-               service->recalc_threads());
+               opts.idle_timeout_ms, service->recalc_threads());
   if (logger != nullptr) {
     logger->Log(obs::LogLevel::kInfo, "server.start",
                 {{"bind", opts.bind_address},
@@ -236,9 +229,7 @@ int main(int argc, char** argv) {
   std::string log_file;
   const char* script_path = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.worker_threads = ParseIntArg(argv[++i], options.worker_threads);
-    } else if (std::strcmp(argv[i], "--recalc-threads") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--recalc-threads") == 0 && i + 1 < argc) {
       // 0 (the default) keeps the wave scheduler off, so the value must
       // parse fully — a typo silently becoming 0 would disable parallel
       // recalc without a trace (same hazard as --max-resident below).
@@ -375,7 +366,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::fprintf(
           stderr,
-          "usage: taco_serve [--threads N] [--recalc-threads N] [--cutoff] "
+          "usage: taco_serve [--recalc-threads N] [--cutoff] "
           "[--backend NAME] [--store text|binary] [--wal-dir DIR] "
           "[--group-commit] [--group-commit-max-delay-us U] "
           "[--max-resident N] [--metrics-port PORT] [--slow-op-ms T] "
@@ -424,24 +415,20 @@ int main(int argc, char** argv) {
     if (metrics_server == nullptr) return 1;
   }
 
-  CommandProcessor processor(&service);
-
-  std::istream* input = &std::cin;
-  std::ifstream script;
+  int input = STDIN_FILENO;
   if (script_path != nullptr) {
-    script.open(script_path);
-    if (!script) {
+    input = ::open(script_path, O_RDONLY | O_CLOEXEC);
+    if (input < 0) {
       std::fprintf(stderr, "cannot open script '%s'\n", script_path);
       return 1;
     }
-    input = &script;
   }
 
   std::fprintf(stderr,
-               "taco_serve ready (workers=%d recalc_workers=%d cutoff=%s "
+               "taco_serve ready (recalc_workers=%d cutoff=%s "
                "backend=%s store=%s wal=%s group_commit=%s "
                "max_resident=%zu)\n",
-               service.pool().num_threads(), service.recalc_threads(),
+               service.recalc_threads(),
                options.cutoff ? "on" : "off",
                options.default_backend.c_str(),
                std::string(service.storage().name()).c_str(),
@@ -450,59 +437,20 @@ int main(int argc, char** argv) {
                                                                 : "off",
                options.max_resident_sessions);
 
-  // Responses print in request order: each command's future joins the
-  // back of the queue, and the queue drains from the front. Emission
-  // goes through the ResponseWriter so a response is always delivered
-  // whole (same contract the socket transport relies on).
+  // One in-order connection: ::read returns whatever has arrived, so an
+  // interactive client gets each response as soon as its line is in,
+  // and the framer applies the same line cap, BATCH framing and QUIT /
+  // EOF rules a socket connection does.
+  CommandProcessor processor(&service);
   StdioResponseWriter writer(stdout);
-  std::deque<std::future<std::string>> pending;
-  auto drain = [&](size_t keep) {
-    while (pending.size() > keep) {
-      writer.Emit(pending.front().get());
-      pending.pop_front();
-    }
-  };
-
-  std::string line;
-  while (std::getline(*input, line)) {
-    // QUIT/EXIT end the loop (stdin EOF does too).
-    std::string_view word(line);
-    word = word.substr(0, word.find_first_of(" \t\r"));
-    if (EqualsIgnoreCaseAscii(word, "QUIT") ||
-        EqualsIgnoreCaseAscii(word, "EXIT")) {
-      break;
-    }
-
-    // A BATCH header owns the next n lines; ship them as one command. An
-    // unframeable header (-1) poisons the stream — the body length is
-    // unknown, so report the error and stop rather than misread edit
-    // lines as commands.
-    std::string command = line;
-    int extra = CommandProcessor::ExtraBodyLines(line);
-    if (extra < 0) {
-      drain(0);
-      writer.Emit(processor.Execute(command));
-      break;
-    }
-    for (; extra > 0; --extra) {
-      std::string body_line;
-      if (!std::getline(*input, body_line)) break;
-      command += "\n" + body_line;
-    }
-
-    // Dispatch keyed by the session name so one session's commands stay
-    // ordered; the processor owns the grammar, so it owns the key too.
-    std::string_view key = CommandProcessor::DispatchKey(line);
-
-    auto task = std::make_shared<std::packaged_task<std::string()>>(
-        [&processor, command] { return processor.Execute(command); });
-    pending.push_back(task->get_future());
-    service.pool().Submit(key, [task] { (*task)(); });
-
-    // Keep the pipeline shallow enough that a slow command applies
-    // backpressure instead of queueing unbounded futures.
-    drain(64);
+  CommandFramer framer(&processor, &writer, &service.metrics().transport());
+  char chunk[4096];
+  while (!framer.closed()) {
+    ssize_t n = ::read(input, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    framer.Feed(std::string_view(chunk, static_cast<size_t>(n)));
   }
-  drain(0);
+  framer.Finish();
   return 0;
 }

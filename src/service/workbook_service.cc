@@ -52,7 +52,6 @@ WorkbookService::WorkbookService(WorkbookServiceOptions options)
       group_committer_ = std::make_unique<GroupCommitter>(std::move(gc));
     }
   }
-  pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
   if (options_.recalc_threads > 0) {
     recalc_pool_ = std::make_unique<ThreadPool>(options_.recalc_threads);
     SchedulerOptions sched = options_.scheduler;
@@ -513,6 +512,20 @@ std::vector<std::string> WorkbookService::SessionNames() const {
   }
   std::sort(names.begin(), names.end());
   return names;
+}
+
+std::vector<std::shared_ptr<WorkbookSession>>
+WorkbookService::ResidentSessions() const {
+  std::vector<std::shared_ptr<WorkbookSession>> sessions;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (const auto& [name, session] : shard->sessions) {
+      sessions.push_back(session);
+    }
+  }
+  std::sort(sessions.begin(), sessions.end(),
+            [](const auto& a, const auto& b) { return a->name() < b->name(); });
+  return sessions;
 }
 
 size_t WorkbookService::resident_sessions() const {

@@ -14,9 +14,11 @@
 // backing file cannot be parked losslessly and are pinned resident (the
 // cap is soft; STATS exposes the pressure).
 //
-// Execution: requests can be dispatched through the owned ThreadPool,
-// whose per-key affinity keeps commands of one session in submission
-// order while different sessions run in parallel (see thread_pool.h).
+// Execution: commands run on their caller's thread (a socket
+// connection's, or taco_serve's main thread in stdin mode), so one
+// connection's commands apply in arrival order while different
+// connections run in parallel. The only pool the service owns is the
+// parallel-recalc pool.
 
 #ifndef TACO_SERVICE_WORKBOOK_SERVICE_H_
 #define TACO_SERVICE_WORKBOOK_SERVICE_H_
@@ -41,14 +43,11 @@ namespace taco {
 struct WorkbookServiceOptions {
   int shards = 8;                    ///< Session-map shards (>= 1).
   size_t max_resident_sessions = 64; ///< LRU bound; 0 = unbounded.
-  int worker_threads = 4;            ///< Command ThreadPool size.
   std::string default_backend = "taco";  ///< Graph for OPEN without one.
 
   /// Width of the shared parallel-recalc pool. 0 disables the wave
   /// scheduler entirely: sessions recalc serially and RECALC <s>
   /// parallel is rejected. When > 0, sessions start in parallel mode.
-  /// This pool is deliberately distinct from the command pool — a wave
-  /// barrier inside a command worker would deadlock a saturated pool.
   int recalc_threads = 0;
 
   /// Wave-scheduler tuning (budgets, inline thresholds); `threads` is
@@ -146,12 +145,17 @@ class WorkbookService {
   /// Names of resident sessions (sorted; parked sessions excluded).
   std::vector<std::string> SessionNames() const;
 
+  /// The resident sessions themselves, sorted by name: a read-only
+  /// snapshot taken under the shard locks. Unlike Get it touches no LRU
+  /// stamp, runs no eviction and reloads nothing, so observers (metrics
+  /// scrapes) cannot disturb residency.
+  std::vector<std::shared_ptr<WorkbookSession>> ResidentSessions() const;
+
   size_t resident_sessions() const;
   size_t parked_sessions() const;
   uint64_t evictions() const { return evictions_.load(); }
 
   ServiceMetrics& metrics() { return metrics_; }
-  ThreadPool& pool() { return *pool_; }
   const WorkbookServiceOptions& options() const { return options_; }
 
   /// The service-wide structured event log (null when disabled).
@@ -275,13 +279,10 @@ class WorkbookService {
   std::atomic<bool> evicting_{false};
 
   ServiceMetrics metrics_;
-  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<StorageEngine> storage_;
 
   /// Dedicated executor for intra-session parallel recalc, shared by all
-  /// sessions (the scheduler holds no per-pass state). Never the command
-  /// pool: wave barriers must not wait on queue slots held by the very
-  /// commands that issued them.
+  /// sessions (the scheduler holds no per-pass state).
   std::unique_ptr<ThreadPool> recalc_pool_;
   std::unique_ptr<RecalcScheduler> recalc_scheduler_;
 };

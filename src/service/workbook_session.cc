@@ -361,7 +361,6 @@ bool WorkbookSession::cutoff() const {
 
 void WorkbookSession::PublishVersion(std::span<const Edit> applied,
                                      const RecalcResult& outcome) {
-  if (!versioned_reads_) return;
   std::vector<Range> touched = outcome.dirty;
   touched.reserve(touched.size() + applied.size());
   for (const Edit& edit : applied) {
@@ -371,55 +370,51 @@ void WorkbookSession::PublishVersion(std::span<const Edit> applied,
   ++versions_published_;
   auto version = engine_.PublishVersion(touched);
   uint64_t id = version->id();
-  published_.store(std::move(version), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    published_.swap(version);
+  }  // `version` now holds the previous one, released outside the lock.
   // The id is stored AFTER the pointer: a reader that sees the new id
-  // and misses its thread-local cache loads published_ and gets this
+  // and misses its thread-local cache copies published_ and gets this
   // version or a newer one, never an older one.
   published_id_.store(id, std::memory_order_release);
 }
 
 const ValueVersion* WorkbookSession::AcquireVersion() {
   uint64_t id = published_id_.load(std::memory_order_acquire);
-  if (id == 0) return nullptr;
+  if (id == 0) {
+    // Nothing published yet (fresh OPEN, LOAD or reload): publish the
+    // full version now, once. First readers racing here serialize on the
+    // lock, and all but one find it done on the re-check. A mutation
+    // holding the lock publishes on its own, which the re-check sees too.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (published_id_.load(std::memory_order_relaxed) == 0) {
+      PublishVersion({}, RecalcResult{});
+    }
+    id = published_id_.load(std::memory_order_relaxed);
+  }
   TlsVersionCache& cache = tls_version_cache;
   if (cache.session_serial == serial_ && cache.id == id) {
     return cache.version.get();
   }
-  auto version = published_.load(std::memory_order_acquire);
-  if (version == nullptr) return nullptr;  // Raced with a disable.
+  std::shared_ptr<const ValueVersion> version;
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    version = published_;
+  }
   cache.session_serial = serial_;
   cache.id = version->id();
-  cache.version = std::move(version);
+  cache.version = std::move(version);  // The old entry drops unlocked.
   return cache.version.get();
-}
-
-void WorkbookSession::EnableVersionedReads(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  versioned_reads_ = enabled;
-  if (!enabled) {
-    // Id first: a reader seeing 0 falls back to the lock without ever
-    // touching published_. Stale thread-local caches revalidate against
-    // the id, so they go cold with it.
-    published_id_.store(0, std::memory_order_release);
-    published_.store(nullptr, std::memory_order_release);
-  }
 }
 
 Value WorkbookSession::GetValue(const Cell& cell) {
   auto start = SteadyNow();
-  Value value;
-  if (auto version = AcquireVersion()) {
-    // The lock-free path: reads of an immutable chain. No evaluator-
-    // cache mutation, no waiting behind a recalc.
-    value = version->Lookup(cell);
-    reads_versioned_[ThreadReadShard() % kReadCountShards].v.fetch_add(
-        1, std::memory_order_relaxed);
-  } else {
-    op_epoch_.fetch_add(1);
-    std::lock_guard<std::mutex> lock(mu_);
-    value = engine_.GetValue(cell);
-    reads_locked_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // Reads of an immutable chain: no evaluator-cache mutation, no waiting
+  // behind a recalc.
+  Value value = AcquireVersion()->Lookup(cell);
+  reads_versioned_[ThreadReadShard() % kReadCountShards].v.fetch_add(
+      1, std::memory_order_relaxed);
   if (metrics_ != nullptr) {
     // Error values (out-of-bounds reads, #CYCLE! and friends) count as
     // errors, so the STATS error column reflects what clients saw.
@@ -438,24 +433,16 @@ RangeSnapshot WorkbookSession::GetRange(const Range& range) {
     if (value.is_error()) any_error = true;
     snapshot.values.emplace_back(cell, std::move(value));
   };
-  if (auto version = AcquireVersion()) {
-    // Every cell resolves against ONE version: a concurrent commit
-    // publishes a new pointer but never mutates this one, so the values
-    // below are a consistent cut even mid-recalc.
-    snapshot.version = version->id();
-    for (const Cell& cell : EnumerateCells(range)) {
-      append(cell, version->Lookup(cell));
-    }
-    reads_versioned_[ThreadReadShard() % kReadCountShards].v.fetch_add(
-        1, std::memory_order_relaxed);
-  } else {
-    op_epoch_.fetch_add(1);
-    std::lock_guard<std::mutex> lock(mu_);  // One hold for the whole range.
-    for (const Cell& cell : EnumerateCells(range)) {
-      append(cell, engine_.GetValue(cell));
-    }
-    reads_locked_.fetch_add(1, std::memory_order_relaxed);
+  // Every cell resolves against ONE version: a concurrent commit
+  // publishes a new pointer but never mutates this one, so the values
+  // below are a consistent cut even mid-recalc.
+  const ValueVersion* version = AcquireVersion();
+  snapshot.version = version->id();
+  for (const Cell& cell : EnumerateCells(range)) {
+    append(cell, version->Lookup(cell));
   }
+  reads_versioned_[ThreadReadShard() % kReadCountShards].v.fetch_add(
+      1, std::memory_order_relaxed);
   if (metrics_ != nullptr) {
     metrics_->Record(ServiceOp::kGetRange, NsSince(start),
                      /*ok=*/!any_error);
@@ -580,8 +567,7 @@ SessionStats WorkbookSession::Stats() const {
   for (const PaddedCount& shard : reads_versioned_) {
     reads_versioned += shard.v.load(std::memory_order_relaxed);
   }
-  stats.ops = ops_.load(std::memory_order_relaxed) + reads_versioned +
-              reads_locked_.load(std::memory_order_relaxed);
+  stats.ops = ops_.load(std::memory_order_relaxed) + reads_versioned;
   stats.edits = edits_;
   stats.recalc_passes = recalc_passes_;
   stats.dirty_cells = dirty_cells_;
@@ -597,12 +583,11 @@ SessionStats WorkbookSession::Stats() const {
   stats.wal_bytes = wal_ != nullptr ? wal_->bytes() : 0;
   stats.recovered_records = recovered_records_;
   stats.wal_failed = wal_failed_;
-  auto version = published_.load(std::memory_order_acquire);
+  const auto& version = published_;  // Only ever written under mu_.
   stats.version = version != nullptr ? version->id() : 0;
   stats.version_chain_depth = version != nullptr ? version->depth() : 0;
   stats.versions_published = versions_published_;
   stats.reads_versioned = reads_versioned;
-  stats.reads_locked = reads_locked_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -7,12 +7,14 @@
 // different workbooks proceed in parallel. READS do not queue behind
 // that lock: each committed mutation publishes an immutable ValueVersion
 // (under the lock, at the recalc commit point), and GetValue/GetRange
-// serve from the latest published version via an atomic shared_ptr load
-// — no mutex, no evaluator-cache mutation, and never a torn mid-recalc
-// state. Only a never-published session (no mutation since creation or
-// reload) falls back to the locked read path. Sessions never share
-// mutable state with each other; the only cross-session object is the
-// metrics sink, which is internally synchronized.
+// serve from the latest published version, cached per thread — no
+// session mutex, no evaluator-cache mutation, and never a torn mid-recalc
+// state. The first version is published lazily: the first read of a
+// session that no mutation has published yet (fresh OPEN, LOAD, reload)
+// takes the lock once and publishes the full version, so OPEN and LOAD
+// do no extra work. Sessions never share mutable state with each other;
+// the only cross-session object is the metrics sink, which is
+// internally synchronized.
 
 #ifndef TACO_SERVICE_WORKBOOK_SESSION_H_
 #define TACO_SERVICE_WORKBOOK_SESSION_H_
@@ -66,15 +68,13 @@ struct SessionStats {
   uint64_t version_chain_depth = 0;  ///< Delta links behind the latest
                                      ///  version (1 = full snapshot).
   uint64_t versions_published = 0; ///< Versions published over the lifetime.
-  uint64_t reads_versioned = 0;    ///< Reads served lock-free.
-  uint64_t reads_locked = 0;       ///< Reads served under the lock.
+  uint64_t reads_versioned = 0;    ///< Reads served (GET and GETRANGE).
 };
 
 /// One consistent bulk read (GETRANGE): every value comes from a single
-/// published version — or one hold of the session lock on the fallback
-/// path — so the cells can never mix two commits.
+/// published version, so the cells can never mix two commits.
 struct RangeSnapshot {
-  uint64_t version = 0;  ///< Version id served; 0 = locked fallback.
+  uint64_t version = 0;  ///< Id of the version served (>= 1).
   std::vector<std::pair<Cell, Value>> values;  ///< Non-blank cells, in
                                                ///  EnumerateCells order.
 };
@@ -113,20 +113,13 @@ class WorkbookSession {
   /// mutates nothing — no WAL append, no version publish, no recalc.
   RecalcEngine::ExplainInfo Explain(const Range& target);
 
-  /// The current value of one cell. Lock-free once a version has been
-  /// published (every mutation publishes); the locked engine path serves
-  /// only never-published sessions.
+  /// The current value of one cell, read from the latest published
+  /// version without the session lock.
   Value GetValue(const Cell& cell);
 
-  /// Every non-blank cell of `range`, read from ONE published version
-  /// (or one hold of the lock before the first publication). The caller
-  /// bounds the range area; this enumerates every cell of it.
+  /// Every non-blank cell of `range`, read from ONE published version.
+  /// The caller bounds the range area; this enumerates every cell of it.
   RangeSnapshot GetRange(const Range& range);
-
-  /// Toggles the MVCC read path (default on). Turning it off drops the
-  /// published version and stops publishing, so every read takes the
-  /// lock — the pre-MVCC behavior, kept for benchmark baselines.
-  void EnableVersionedReads(bool enabled);
 
   /// Plugs in the service's shared wave executor and switches the engine
   /// to parallel recalc. `executor` must outlive the session (the
@@ -222,14 +215,15 @@ class WorkbookSession {
   void PublishVersion(std::span<const Edit> applied,
                       const RecalcResult& outcome);
 
-  /// The reader-side acquire: the latest published version, or null when
-  /// the session has never published (or the MVCC path is disabled).
+  /// The reader-side acquire: the latest published version, never null.
+  /// A session nothing has published yet publishes its full version
+  /// here, once, under mu_ (racing first readers re-check and share it).
   /// Readers check the plain atomic `published_id_` first and reuse a
   /// thread-local cached shared_ptr when it is current, so the hot path
-  /// touches no shared cache line at all — libstdc++'s atomic
-  /// shared_ptr load takes a pooled spinlock plus two refcount RMWs,
-  /// which under read fan-out costs more than the session mutex it was
-  /// meant to replace. Returns a RAW pointer into that thread-local
+  /// touches no shared cache line at all — copying the published
+  /// shared_ptr takes a lock plus two refcount RMWs, which under read
+  /// fan-out would cost as much as the session mutex it was meant to
+  /// replace. Returns a RAW pointer into that thread-local
   /// cache (pinned until this thread's next AcquireVersion call):
   /// returning the shared_ptr by value would put two refcount RMWs on
   /// the shared control block back on every read.
@@ -269,7 +263,6 @@ class WorkbookSession {
   /// already holds the edit — it IS durable, and latching (or erroring
   /// the ack) would report a loss that didn't happen.
   uint64_t checkpoint_epoch_ = 0;
-  bool versioned_reads_ = true;
   uint64_t versions_published_ = 0;
   std::atomic<uint64_t> ops_{0};  ///< Mutations only; Stats() adds reads.
   uint64_t edits_ = 0;
@@ -283,25 +276,29 @@ class WorkbookSession {
   std::string backend_key_;
   std::atomic<uint64_t> last_access_{0};
   std::atomic<uint64_t> op_epoch_{0};
-  /// The MVCC slot: writers release-store the freshly built version
-  /// under mu_, then release-store its id into `published_id_`; readers
-  /// check the id (one plain atomic load) and only touch the shared_ptr
-  /// when their thread-local cache is stale. Id 0 = nothing published.
-  std::atomic<std::shared_ptr<const ValueVersion>> published_;
+  /// The MVCC slot: writers store the freshly built version under mu_
+  /// (and the short `published_mu_`), then release-store its id into
+  /// `published_id_`; readers check the id (one plain atomic load) and
+  /// only take `published_mu_` to copy the pointer when their
+  /// thread-local cache is stale. Id 0 = nothing published. A plain
+  /// mutex, not std::atomic<std::shared_ptr>: libstdc++ 12's atomic
+  /// load releases its internal lock with a relaxed store, which leaves
+  /// the next store unordered after the load (ThreadSanitizer reports
+  /// it as a race).
+  mutable std::mutex published_mu_;
+  std::shared_ptr<const ValueVersion> published_;
   std::atomic<uint64_t> published_id_{0};
   /// Process-unique session identity for the thread-local version cache
   /// (a reused heap address must not revalidate a dead cache entry).
   const uint64_t serial_;
-  /// Versioned-read count, sharded by thread (padded lines) — the only
-  /// write the lock-free read path makes must not be a shared line N
-  /// readers serialize on. The locked counter needs no shards: that
-  /// path is mutex-serialized anyway.
+  /// Read count, sharded by thread (padded lines) — the only write the
+  /// lock-free read path makes must not be a shared line N readers
+  /// serialize on.
   struct alignas(64) PaddedCount {
     std::atomic<uint64_t> v{0};
   };
   static constexpr size_t kReadCountShards = 8;
   PaddedCount reads_versioned_[kReadCountShards];
-  std::atomic<uint64_t> reads_locked_{0};
 };
 
 /// Creates the graph backend selected by `backend` ("taco", "taco-inrow",

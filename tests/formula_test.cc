@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/recalc.h"
 #include "formula/lexer.h"
 #include "formula/parser.h"
 #include "formula/references.h"
+#include "graph/nocomp_graph.h"
 
 namespace taco {
 namespace {
@@ -175,6 +177,64 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseFormula("1 2").ok());
   EXPECT_FALSE(ParseFormula("A1:").ok());
   EXPECT_FALSE(ParseFormula("A1:5").ok());
+}
+
+// Four shapes that each reach `depth` levels in their own way: a binary
+// chain, unary signs, the right-recursive '^', and nested calls. Exactly
+// kMaxFormulaDepth parses AND evaluates; one more is a ParseError, never
+// a stack overflow.
+TEST(ParserTest, NestingDepthIsBoundedForEveryShape) {
+  struct Shape {
+    const char* name;
+    std::string (*build)(int depth);
+    double value_at_bound;
+  };
+  const Shape shapes[] = {
+      {"1+1+...",
+       [](int depth) {
+         std::string text = "1";
+         for (int i = 0; i < depth; ++i) text += "+1";
+         return text;
+       },
+       kMaxFormulaDepth + 1.0},
+      {"---1", [](int depth) { return std::string(depth, '-') + "1"; },
+       kMaxFormulaDepth % 2 == 0 ? 1.0 : -1.0},
+      {"1^1^...",
+       [](int depth) {
+         std::string text = "1";
+         for (int i = 0; i < depth; ++i) text += "^1";
+         return text;
+       },
+       1.0},
+      {"ABS(ABS(...))",
+       [](int depth) {
+         std::string text;
+         for (int i = 0; i < depth; ++i) text += "ABS(";
+         return text + "1" + std::string(depth, ')');
+       },
+       1.0},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    std::string at_bound = shape.build(kMaxFormulaDepth);
+    ASSERT_TRUE(ParseFormula(at_bound).ok());
+    Sheet sheet;
+    NoCompGraph graph;
+    RecalcEngine engine(&sheet, &graph);
+    ASSERT_TRUE(engine.SetFormula(Cell{1, 1}, at_bound).ok());
+    EXPECT_EQ(engine.GetValue(Cell{1, 1}), Value::Number(shape.value_at_bound));
+
+    auto over = ParseFormula(shape.build(kMaxFormulaDepth + 1));
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+    EXPECT_NE(over.status().message().find("nests deeper"), std::string::npos)
+        << over.status().ToString();
+  }
+  // Parentheses count too, so a bare paren tower is bounded the same way.
+  std::string parens = std::string(kMaxFormulaDepth, '(') + "1" +
+                       std::string(kMaxFormulaDepth, ')');
+  EXPECT_TRUE(ParseFormula(parens).ok());
+  EXPECT_FALSE(ParseFormula("(" + parens + ")").ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 // Table-driven transcripts covering every protocol verb (OPEN LOAD SAVE
 // CLOSE SET FORMULA GET GETRANGE CLEAR BATCH RECALC EXPLAIN STATS
 // METRICS TRACE LIST) plus malformed
-// traffic are replayed twice — through an in-process CommandProcessor
-// (the stdin path of taco_serve) and through a real TCP connection —
+// traffic are replayed twice — as a byte stream through the
+// CommandFramer taco_serve's stdin loop feeds, and through a real TCP
+// connection —
 // each against its own fresh service, and every response must come back
 // byte-identical. The only tolerated difference is wall-clock noise:
 // latency fields (find_ms, the STATS ms columns) and the STATS
@@ -42,12 +43,14 @@ namespace {
 /// the wire (half-close mid-BATCH) to exercise the EOF path, and
 /// `closes_stream` marks transcripts whose last command poisons the
 /// stream (unframeable BATCH header) so the socket side can assert the
-/// hangup.
+/// hangup. A QUIT command ends the conversation wherever it appears.
+/// `max_line_bytes` is the line cap on both transports.
 struct Transcript {
   std::string name;
   std::vector<std::string> commands;
   bool truncate_tail = false;
   bool closes_stream = false;
+  size_t max_line_bytes = CommandFramer::kDefaultMaxLineBytes;
 };
 
 /// Strips what may legitimately differ between two executions: latency
@@ -87,21 +90,41 @@ std::string Scrub(const std::string& response) {
   return out;
 }
 
-/// The stdin reference: direct CommandProcessor::Execute against a fresh
-/// service — exactly what taco_serve's stdin loop dispatches.
+/// Collects each emitted response, the way a stdout reader would see it.
+class CapturingWriter : public ResponseWriter {
+ public:
+  bool Emit(std::string_view response) override {
+    responses.emplace_back(response);
+    return true;
+  }
+  std::vector<std::string> responses;
+};
+
+/// The stdin reference: the transcript's bytes through a CommandFramer,
+/// then end of input — the calls taco_serve's stdin loop makes — against
+/// a fresh service.
 std::vector<std::string> RunOverStdin(const Transcript& transcript) {
   WorkbookService service;
   CommandProcessor processor(&service);
-  std::vector<std::string> responses;
+  CapturingWriter writer;
+  CommandFramer framer(&processor, &writer, &service.metrics().transport(),
+                       transcript.max_line_bytes);
   for (const std::string& command : transcript.commands) {
-    responses.push_back(processor.Execute(command));
+    framer.Feed(command + "\n");
   }
-  return responses;
+  framer.Finish();
+  return writer.responses;
+}
+
+bool IsQuit(const std::string& command) {
+  return command.starts_with("QUIT") || command.starts_with("EXIT");
 }
 
 std::vector<std::string> RunOverSocket(const Transcript& transcript) {
   WorkbookService service;
-  SocketServer server(&service);
+  SocketServerOptions options;
+  options.max_line_bytes = transcript.max_line_bytes;
+  SocketServer server(&service, options);
   EXPECT_TRUE(server.Start().ok());
   SocketClient client;
   EXPECT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
@@ -109,6 +132,17 @@ std::vector<std::string> RunOverSocket(const Transcript& transcript) {
   std::vector<std::string> responses;
   for (size_t i = 0; i < transcript.commands.size(); ++i) {
     const std::string& command = transcript.commands[i];
+    if (IsQuit(command)) {
+      // QUIT has no response: the server just closes. Whatever follows
+      // is sent anyway and must never execute; the send itself may fail
+      // once the server is gone, and the close may arrive as a reset.
+      for (size_t j = i; j < transcript.commands.size(); ++j) {
+        (void)client.SendCommand(transcript.commands[j]);
+      }
+      EXPECT_FALSE(client.ReadLine().ok()) << "stream should have closed";
+      server.Shutdown();
+      return responses;
+    }
     bool last = i + 1 == transcript.commands.size();
     if (last && transcript.truncate_tail) {
       EXPECT_TRUE(client.SendCommand(command).ok());
@@ -177,14 +211,14 @@ TEST(ProtocolConformanceTest, EditReadVerbs) {
 
 TEST(ProtocolConformanceTest, GetRangeVerb) {
   // The one multi-line data response: both transports must frame the
-  // header + VALUE lines + terminator identically, including the
-  // version=0 never-published form, the all-blank form (header + END
+  // header + VALUE lines + terminator identically, including the first
+  // read of a never-published session, the all-blank form (header + END
   // only), and every error shape.
   ExpectConformance(
       {.name = "getrange",
        .commands = {
            "OPEN wb",
-           "GETRANGE wb A1:B2",  // Never published: version=0, no rows.
+           "GETRANGE wb A1:B2",  // First read publishes version 1.
            "SET wb A1 1",
            "SET wb A3 2.5",
            "FORMULA wb B2 A1*4",
@@ -362,9 +396,42 @@ TEST(ProtocolConformanceTest, ExplainVerb) {
        }});
 }
 
+TEST(ProtocolConformanceTest, OverCapLines) {
+  // Lines over the cap are dropped with one ERR each and the stream
+  // survives; inside a BATCH body the dropped line keeps its slot.
+  const std::string flood(400, 'X');
+  ExpectConformance({.name = "over-cap-lines",
+                     .commands = {"OPEN wb",
+                                  "SET wb A1 " + flood,
+                                  "BATCH wb 2\n" + flood + "\nSET A2 9",
+                                  "GET wb A2",  // The batch applied nothing.
+                                  "SET wb A1 5",
+                                  "GET wb A1"},
+                     .max_line_bytes = 256});
+}
+
+TEST(ProtocolConformanceTest, OverCapBatchHeaderPoisonsTheStream) {
+  // The count sits in the dropped bytes, so the frame is unknowable:
+  // ERR, then the stream closes before any body line runs.
+  ExpectConformance(
+      {.name = "over-cap-batch-header",
+       .commands = {"OPEN wb",
+                    "BATCH wb " + std::string(400, ' ') +
+                        "3\nSET A1 1\nSET A2 2\nSET A3 3"},
+       .closes_stream = true,
+       .max_line_bytes = 256});
+}
+
+TEST(ProtocolConformanceTest, QuitMidStream) {
+  // QUIT ends the stream without a response; nothing after it runs.
+  ExpectConformance({.name = "quit-mid-stream",
+                     .commands = {"OPEN wb", "SET wb A1 1", "GET wb A1",
+                                  "QUIT", "SET wb A1 2", "GET wb A1"}});
+}
+
 TEST(ProtocolConformanceTest, TruncatedBatchAtEof) {
   // The stream ends inside a BATCH body; both transports execute the
-  // partial frame (stdin: getline fails, socket: EOF) identically.
+  // partial frame at end of input identically.
   ExpectConformance({.name = "truncated-batch",
                      .commands = {"OPEN wb",
                                   "SET wb A1 3",
@@ -374,8 +441,8 @@ TEST(ProtocolConformanceTest, TruncatedBatchAtEof) {
 
 TEST(ProtocolConformanceTest, UnframeableBatchHeaderPoisonsTheStream) {
   // A BATCH count that cannot be framed: both transports report the
-  // error and refuse to interpret anything after it (taco_serve's stdin
-  // loop stops; the socket server closes the connection).
+  // error and refuse to interpret anything after it (the shared framer
+  // closes the stream).
   ExpectConformance({.name = "unframeable-batch",
                      .commands = {"OPEN wb", "BATCH wb 9999999"},
                      .closes_stream = true});

@@ -1,11 +1,14 @@
 // MVCC read-path tests: version publication per mutation, lock-free
-// GetValue/GetRange equivalence against the locked oracle, range-snapshot
-// atomicity, the never-published fallback, read metrics, and — the point
-// of the whole design — concurrent readers hammering a session mid-recalc
-// (parallel waves, 2 threads) without ever observing a torn state.
+// GetValue/GetRange equivalence against a bare-engine oracle, range-
+// snapshot atomicity, the lazy first publish (and first readers racing
+// it), read metrics, and — the point of the whole design — concurrent
+// readers hammering a session mid-recalc (parallel waves, 2 threads)
+// without ever observing a torn state.
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -14,7 +17,9 @@
 #include "eval/recalc.h"
 #include "eval/value_version.h"
 #include "graph/nocomp_graph.h"
+#include "service/protocol.h"
 #include "service/workbook_service.h"
+#include "sheet/textio.h"
 
 namespace taco {
 namespace {
@@ -24,6 +29,30 @@ std::shared_ptr<WorkbookSession> OpenSession(WorkbookService& service,
   auto session = service.Open(name);
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   return *session;
+}
+
+/// A sheet of `rows` generated rows: numbers in A, formulas over them in
+/// B and C, text in D, a column total in E1 and a #DIV/0! in F1.
+Sheet GeneratedSheet(int32_t rows) {
+  Sheet sheet;
+  for (int32_t row = 1; row <= rows; ++row) {
+    std::string r = std::to_string(row);
+    EXPECT_TRUE(sheet.SetNumber(Cell{1, row}, row * 0.5 - 7).ok());
+    EXPECT_TRUE(sheet.SetFormula(Cell{2, row}, "A" + r + "*3").ok());
+    EXPECT_TRUE(sheet.SetFormula(Cell{3, row}, "B" + r + "+A1").ok());
+    EXPECT_TRUE(sheet.SetText(Cell{4, row}, "row" + r).ok());
+  }
+  EXPECT_TRUE(
+      sheet.SetFormula(Cell{5, 1}, "SUM(C1:C" + std::to_string(rows) + ")")
+          .ok());
+  EXPECT_TRUE(sheet.SetFormula(Cell{6, 1}, "1/0").ok());
+  return sheet;
+}
+
+std::string TempSheetPath(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("taco_read_path_" + tag + ".tsheet"))
+      .string();
 }
 
 TEST(ReadPathTest, EveryMutationPublishesAVersion) {
@@ -47,55 +76,110 @@ TEST(ReadPathTest, EveryMutationPublishesAVersion) {
   EXPECT_EQ(stats.versions_published, 4u);
 }
 
-TEST(ReadPathTest, NeverPublishedSessionFallsBackToLockedReads) {
+// A LOADed session has published nothing; its first read publishes the
+// full version (id 1) and serves from it, cell-for-cell equal to a bare
+// engine over the same file. Further reads reuse that version.
+TEST(ReadPathTest, FirstReadPublishesTheFullVersion) {
+  constexpr int32_t kRows = 40;
+  std::string path = TempSheetPath("first_read");
+  ASSERT_TRUE(SaveSheetFile(GeneratedSheet(kRows), path).ok());
+
+  auto oracle_sheet = LoadSheetFile(path);
+  ASSERT_TRUE(oracle_sheet.ok());
+  NoCompGraph oracle_graph;
+  ASSERT_TRUE(BuildGraphFromSheet(*oracle_sheet, &oracle_graph).ok());
+  RecalcEngine oracle(&*oracle_sheet, &oracle_graph);
+
   WorkbookService service;
-  auto session = OpenSession(service, "book");
+  CommandProcessor processor(&service);
+  ASSERT_TRUE(processor.Execute("LOAD book " + path).starts_with("OK loaded"));
+  EXPECT_EQ(processor.Execute("GET book E1"),
+            "VALUE E1 " + oracle.GetValue(Cell{5, 1}).ToString());
 
-  // No mutation yet: reads take the engine lock and report version 0.
-  EXPECT_EQ(session->GetValue(Cell{1, 1}), Value::Blank());
-  RangeSnapshot snap = session->GetRange(Range(1, 1, 2, 2));
-  EXPECT_EQ(snap.version, 0u);
-  EXPECT_TRUE(snap.values.empty());
+  std::string range = processor.Execute("GETRANGE book A1:F" +
+                                        std::to_string(kRows));
+  std::string expected = "OK range A1:F" + std::to_string(kRows) +
+                         " version=1 cells=" + std::to_string(4 * kRows + 2);
+  Range region(1, 1, 6, kRows);
+  for (const Cell& cell : EnumerateCells(region)) {
+    Value value = oracle.GetValue(cell);
+    if (!value.is_blank()) {
+      expected += "\nVALUE " + cell.ToString() + " " + value.ToString();
+    }
+  }
+  EXPECT_EQ(range, expected + "\nEND");
 
-  SessionStats stats = session->Stats();
-  EXPECT_EQ(stats.reads_locked, 2u);
-  EXPECT_EQ(stats.reads_versioned, 0u);
-
-  // The first mutation publishes; reads go lock-free from then on.
-  ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 9).ok());
-  EXPECT_EQ(session->GetValue(Cell{1, 1}), Value::Number(9));
-  snap = session->GetRange(Range(1, 1, 2, 2));
-  EXPECT_EQ(snap.version, 1u);
-  ASSERT_EQ(snap.values.size(), 1u);
-  EXPECT_EQ(snap.values[0].first, (Cell{1, 1}));
-  EXPECT_EQ(snap.values[0].second, Value::Number(9));
-
-  stats = session->Stats();
-  EXPECT_EQ(stats.reads_locked, 2u);
-  EXPECT_EQ(stats.reads_versioned, 2u);
+  std::string stats = processor.Execute("STATS book");
+  EXPECT_NE(stats.find(" version=1 versions=1 "), std::string::npos) << stats;
+  EXPECT_NE(stats.find(" reads_versioned=2 "), std::string::npos) << stats;
+  std::remove(path.c_str());
 }
 
-// The equivalence oracle: a twin session with the MVCC path disabled
-// replays the same edits; after every step, every cell of the working
-// region must read identically through both paths. The sequence is long
-// enough (> ValueVersion::kMaxDepth steps touching overlapping regions)
-// to exercise delta-chain flattening.
+// The first-touch race, run under TSan in CI: readers released together
+// onto a freshly loaded session all hit the unpublished state at once.
+// Exactly one of them publishes; every reader serves from that one
+// version.
+TEST(ReadPathTest, RacingFirstReadersShareOnePublishedVersion) {
+  constexpr int kReaders = 4;
+  constexpr int32_t kRows = 500;
+  std::string path = TempSheetPath("first_touch");
+  ASSERT_TRUE(SaveSheetFile(GeneratedSheet(kRows), path).ok());
+  WorkbookService service;
+  auto loaded = service.Load("book", path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::shared_ptr<WorkbookSession> session = *loaded;
+  ASSERT_EQ(session->Stats().versions_published, 0u);
+
+  std::atomic<int> ready{0};
+  std::vector<uint64_t> versions(kReaders);
+  std::vector<Value> totals(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) std::this_thread::yield();
+      if (r % 2 == 0) {
+        versions[r] = session->GetRange(Range(5, 1, 5, 1)).version;
+      } else {
+        totals[r] = session->GetValue(Cell{5, 1});
+        versions[r] = session->Stats().version;
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(versions[r], 1u) << "reader " << r;
+    if (r % 2 == 1) EXPECT_EQ(totals[r], totals[1]) << "reader " << r;
+  }
+  SessionStats stats = session->Stats();
+  EXPECT_EQ(stats.versions_published, 1u);
+  EXPECT_EQ(stats.reads_versioned, uint64_t(kReaders));
+  std::remove(path.c_str());
+}
+
+// The equivalence oracle: a bare RecalcEngine replays the same edits;
+// after every step, every cell of the working region must read the same
+// through the session's published versions and through the engine. The
+// sequence is long enough (> ValueVersion::kMaxDepth steps touching
+// overlapping regions) to exercise delta-chain flattening.
 TEST(ReadPathTest, VersionedReadsMatchLockedOracle) {
   WorkbookService service;
   auto mvcc = OpenSession(service, "mvcc");
-  auto oracle = OpenSession(service, "oracle");
-  oracle->EnableVersionedReads(false);
+  Sheet oracle_sheet;
+  NoCompGraph oracle_graph;
+  RecalcEngine oracle(&oracle_sheet, &oracle_graph);
 
   auto apply_both = [&](const Edit& edit) {
     EditBatch batch{edit};
     ASSERT_TRUE(mvcc->ApplyBatch(batch).ok());
-    ASSERT_TRUE(oracle->ApplyBatch(batch).ok());
+    ASSERT_TRUE(oracle.ApplyBatch(batch).ok());
   };
   auto check_region = [&](int32_t cols, int32_t rows) {
     for (int32_t col = 1; col <= cols; ++col) {
       for (int32_t row = 1; row <= rows; ++row) {
         Cell cell{col, row};
-        EXPECT_EQ(mvcc->GetValue(cell), oracle->GetValue(cell))
+        EXPECT_EQ(mvcc->GetValue(cell), oracle.GetValue(cell))
             << "divergence at " << cell.ToString();
       }
     }
@@ -136,7 +220,7 @@ TEST(ReadPathTest, VersionedReadsMatchLockedOracle) {
   check_region(5, 8);
   RangeSnapshot snap = mvcc->GetRange(Range(1, 1, 5, 8));
   for (const auto& [cell, value] : snap.values) {
-    EXPECT_EQ(value, oracle->GetValue(cell)) << cell.ToString();
+    EXPECT_EQ(value, oracle.GetValue(cell)) << cell.ToString();
   }
 }
 
@@ -192,26 +276,6 @@ TEST(ReadPathTest, ErrorValuedReadsCountAsErrorsInMetrics) {
   OpStats getrange = service.metrics().Get(ServiceOp::kGetRange);
   EXPECT_EQ(getrange.count, 1u);
   EXPECT_EQ(getrange.errors, 1u);  // Snapshot contains an error value.
-}
-
-TEST(ReadPathTest, DisablingVersionedReadsRestoresTheLockedPath) {
-  WorkbookService service;
-  auto session = OpenSession(service, "book");
-  ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 5).ok());
-  EXPECT_EQ(session->Stats().version, 1u);
-
-  session->EnableVersionedReads(false);
-  EXPECT_EQ(session->Stats().version, 0u);  // Publication dropped.
-  EXPECT_EQ(session->GetValue(Cell{1, 1}), Value::Number(5));
-  ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 6).ok());
-  EXPECT_EQ(session->Stats().version, 0u);  // And stays off.
-  EXPECT_EQ(session->GetValue(Cell{1, 1}), Value::Number(6));
-  EXPECT_EQ(session->Stats().reads_locked, 2u);
-
-  session->EnableVersionedReads(true);
-  ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 7).ok());
-  EXPECT_EQ(session->GetValue(Cell{1, 1}), Value::Number(7));
-  EXPECT_GE(session->Stats().reads_versioned, 1u);
 }
 
 // Delta versions must carry only what a commit CHANGED, not what it

@@ -123,7 +123,6 @@ TEST(ServiceStressTest, ConcurrentSessionsMatchSerialOracle) {
   // --- Concurrent run: 4 writers (2 sessions each) + cross readers. ---
   WorkbookServiceOptions options;
   options.shards = 4;
-  options.worker_threads = 2;  // Pool unused here; threads drive directly.
   // Wave-parallel recalc inside every session, with thresholds forced to
   // zero so even these small dirty sets exercise the scheduler — the
   // serial oracle below proves determinism THROUGH the whole service
@@ -181,9 +180,7 @@ TEST(ServiceStressTest, ConcurrentSessionsMatchSerialOracle) {
   for (size_t t = kWriterThreads; t < threads.size(); ++t) threads[t].join();
 
   // --- Serial oracle: identical streams, one thread, fresh service. ---
-  WorkbookServiceOptions oracle_options;
-  oracle_options.worker_threads = 1;
-  WorkbookService oracle(oracle_options);
+  WorkbookService oracle;
   CommandProcessor oracle_processor(&oracle);
   std::vector<std::vector<std::string>> oracle_responses(kSessions);
   for (int i = 0; i < kSessions; ++i) {
@@ -252,7 +249,6 @@ TEST(ServiceStressTest, ConcurrentEvictionParkReloadLosesNoEdits) {
   WorkbookServiceOptions options;
   options.shards = 2;
   options.max_resident_sessions = 2;
-  options.worker_threads = 1;
   WorkbookService service(options);
 
   auto session_name = [](int i) { return "ev" + std::to_string(i); };
@@ -316,30 +312,6 @@ TEST(ServiceStressTest, ConcurrentEvictionParkReloadLosesNoEdits) {
         << session_name(i);
   }
   for (const std::string& path : paths) std::remove(path.c_str());
-}
-
-// The pool's per-key affinity must keep one session's commands in
-// submission order even when many submitters interleave — the property
-// taco_serve relies on for stdin dispatch.
-TEST(ServiceStressTest, ThreadPoolKeyAffinityPreservesOrder) {
-  constexpr int kKeys = 6;
-  constexpr int kTasksPerKey = 200;
-  std::vector<std::vector<int>> seen(kKeys);
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < kTasksPerKey; ++i) {
-      for (int k = 0; k < kKeys; ++k) {
-        std::string key = "session-" + std::to_string(k);
-        pool.Submit(key, [&seen, k, i] { seen[k].push_back(i); });
-      }
-    }
-  }  // Destructor drains every queue.
-  for (int k = 0; k < kKeys; ++k) {
-    ASSERT_EQ(seen[k].size(), static_cast<size_t>(kTasksPerKey));
-    for (int i = 0; i < kTasksPerKey; ++i) {
-      ASSERT_EQ(seen[k][i], i) << "key " << k << " ran out of order";
-    }
-  }
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
-// ThreadPool + WaitGroup semantics: keyed ordering, group completion
-// (Wait observes every submitted task), reuse across batches, and
+// ThreadPool + WaitGroup semantics: group completion (Wait observes every
+// submitted task), reuse across batches, round-robin spread, and
 // concurrent groups on one pool — the contract the wave scheduler's
 // barriers are built on.
 
 #include <atomic>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -76,23 +75,6 @@ TEST(WaitGroupTest, ManualAddDoneFromWorkerThreads) {
   group.Wait();
   EXPECT_EQ(done.load(), 3);
   for (auto& t : threads) t.join();
-}
-
-TEST(ThreadPoolTest, KeyedTasksKeepSubmissionOrder) {
-  ThreadPool pool(4);
-  WaitGroup group;
-  std::vector<int> order;  // Only the keyed worker touches it.
-  constexpr int kTasks = 100;
-  for (int i = 0; i < kTasks; ++i) {
-    group.Add(1);
-    pool.Submit("session-a", [&order, &group, i] {
-      order.push_back(i);
-      group.Done();
-    });
-  }
-  group.Wait();
-  ASSERT_EQ(order.size(), static_cast<size_t>(kTasks));
-  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, GroupSubmissionsSpreadAcrossWorkers) {
