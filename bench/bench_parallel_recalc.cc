@@ -13,10 +13,11 @@
 //           (sliding windows, derived columns, VLOOKUP tables, chains),
 //           edited at its max-dependents anchor.
 //
-// Modes: serial, then wave-parallel at 2/4/8 scheduler threads. The
-// reported time is RecalcResult::eval_ms — the re-evaluation phase the
-// scheduler parallelizes — with the FindDependents share shown
-// separately (the paper's graph-query latency, unchanged by this layer).
+// Modes: serial (the engine with no pool), then wave-parallel at 2/4/8
+// scheduler threads. The reported time is RecalcResult::eval_ms — the
+// re-evaluation phase the scheduler parallelizes — with the
+// FindDependents share shown separately (the paper's graph-query
+// latency, unchanged by this layer).
 //
 // A second table measures value-change cutoff on absorbing workloads:
 // the same chain/fanout shapes with an IF stage that collapses the
@@ -272,7 +273,7 @@ int main() {
     for (const std::string backend : {"taco", "nocomp"}) {
       Workload w = profile.make(profile.size, backend);
 
-      w.engine->set_mode(RecalcMode::kSerial);
+      // Serial: the engine's own pool-less scheduler.
       ModeResult serial = RunMode(&w, reps);
 
       std::vector<ModeResult> parallel;
@@ -282,13 +283,11 @@ int main() {
         SchedulerOptions options;
         options.threads = threads;
         RecalcScheduler scheduler(&pool, options);
-        w.engine->set_executor(&scheduler);
-        w.engine->set_mode(RecalcMode::kParallel);
+        w.engine->set_scheduler(&scheduler);
         parallel.push_back(RunMode(&w, reps));
         waves = parallel.back().waves;
         // The scheduler dies with this scope; unplug it from the engine.
-        w.engine->set_executor(nullptr);
-        w.engine->set_mode(RecalcMode::kSerial);
+        w.engine->set_scheduler(nullptr);
       }
 
       table.AddRow({profile.name, backend, std::to_string(serial.dirty),
@@ -319,10 +318,9 @@ int main() {
                              "cut_ms", "cut_2T_ms"});
 
   auto run_cutoff = [&](const char* name, Workload* w) {
-    // Full pass baseline, then the serial-engine cutoff path, then the
-    // 2-thread wave-scheduled cutoff path — all on the same workload,
-    // counters from the same RecalcResult the service reports from.
-    w->engine->set_mode(RecalcMode::kSerial);
+    // Full pass baseline, then cutoff with no pool, then cutoff on a
+    // 2-thread pool — all on the same workload, counters from the same
+    // RecalcResult the service reports from.
     ModeResult full = RunMode(w, reps);
     w->engine->set_cutoff(true);
     ModeResult cut = RunMode(w, reps);
@@ -332,11 +330,9 @@ int main() {
       SchedulerOptions options;
       options.threads = 2;
       RecalcScheduler scheduler(&pool, options);
-      w->engine->set_executor(&scheduler);
-      w->engine->set_mode(RecalcMode::kParallel);
+      w->engine->set_scheduler(&scheduler);
       cut2 = RunMode(w, reps);
-      w->engine->set_executor(nullptr);
-      w->engine->set_mode(RecalcMode::kSerial);
+      w->engine->set_scheduler(nullptr);
     }
     w->engine->set_cutoff(false);
 

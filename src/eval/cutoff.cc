@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/range_set.h"
 #include "formula/references.h"
+#include "rtree/rtree.h"
 
 namespace taco {
 
@@ -137,45 +139,57 @@ CellWavePlan BuildCellWavePlan(std::vector<Cell> nodes,
   return plan;
 }
 
-CutoffOutcome SerialCutoffEvaluate(const CellWavePlan& plan,
-                                   Evaluator* evaluator,
-                                   const CutoffContext& ctx) {
-  CutoffOutcome outcome;
-  const int n = static_cast<int>(plan.nodes.size());
-  outcome.dirty_formulas = static_cast<uint64_t>(n);
+RangeWavePlan BuildRangeWavePlan(const Sheet& sheet,
+                                 std::span<const Range> dirty,
+                                 std::span<const Range> seeds) {
+  RangeWavePlan plan;
+  const int m = static_cast<int>(dirty.size());
+  RTree index;
+  for (int j = 0; j < m; ++j) index.Insert(dirty[j], j);
 
-  // A node evaluates when it was edited, reads a seed, had no captured
-  // prior, or (below) any dirty precedent committed a changed value.
-  std::vector<char> needs_eval(n);
-  for (int i = 0; i < n; ++i) {
-    needs_eval[i] =
-        plan.forced[i] != 0 || ctx.prior.find(plan.nodes[i]) == ctx.prior.end();
-  }
-
-  for (const std::vector<int>& wave : plan.waves) {
-    for (int idx : wave) {
-      if (!needs_eval[idx]) {
-        // Prune: the pass invalidated the cache, so restore the prior
-        // value. Dependents stay unmarked — nothing changed here.
-        evaluator->Prime(plan.nodes[idx], ctx.prior.at(plan.nodes[idx]));
-        ++outcome.skipped;
-        continue;
+  plan.formulas.assign(m, 0);
+  plan.adj.resize(m);
+  plan.forced.assign(m, 0);
+  std::vector<int> indeg(m, 0);
+  std::unordered_set<uint64_t> edge_seen;
+  std::vector<A1Reference> refs;
+  for (int j = 0; j < m; ++j) {
+    for (const Cell& cell : EnumerateCells(dirty[j])) {
+      const CellContent* content = sheet.Get(cell);
+      if (content == nullptr || !content->IsFormula()) continue;
+      ++plan.formulas[j];
+      if (!plan.forced[j] && !seeds.empty() && CoversCell(seeds, cell)) {
+        plan.forced[j] = 1;  // The cell itself was edited.
       }
-      Value now = evaluator->EvaluateCell(plan.nodes[idx]);
-      ++outcome.evaluated;
-      auto it = ctx.prior.find(plan.nodes[idx]);
-      if (it == ctx.prior.end() || !(now == it->second)) {
-        for (int d : plan.adj[idx]) needs_eval[d] = 1;
+      refs.clear();
+      ExtractReferences(*content->formula().ast, &refs);
+      for (const A1Reference& ref : refs) {
+        if (!ref.range.IsValid()) continue;
+        if (!plan.forced[j]) {
+          for (const Range& seed : seeds) {
+            if (ref.range.Overlaps(seed)) {
+              plan.forced[j] = 1;
+              break;
+            }
+          }
+        }
+        index.ForEachOverlap(ref.range, [&](const Range&, RTree::EntryId id) {
+          const int i = static_cast<int>(id);
+          // Intra-range dependencies are resolved by in-order evaluation
+          // inside the range's task, so self-edges don't schedule.
+          if (i == j) return;
+          uint64_t key = (static_cast<uint64_t>(i) << 32) |
+                         static_cast<uint32_t>(j);
+          if (!edge_seen.insert(key).second) return;
+          plan.adj[i].push_back(j);
+          ++indeg[j];
+        });
       }
     }
   }
-  // Cycle members and their downstream dependents replay un-cut, in
-  // node order — the serial first-touch order #CYCLE! patterns pin.
-  for (int idx : plan.leftover) {
-    evaluator->EvaluateCell(plan.nodes[idx]);
-    ++outcome.evaluated;
-  }
-  return outcome;
+  plan.edges = edge_seen.size();
+  plan.waves = BuildWaves(plan.adj, &indeg, &plan.leftover);
+  return plan;
 }
 
 }  // namespace taco

@@ -1,6 +1,6 @@
-// Value-change cutoff recalculation: the shared dirty-subgraph wave
-// machinery behind RecalcEngine's serial cutoff path, the wave
-// scheduler's cutoff execution, and the EXPLAIN planner.
+// Value-change cutoff recalculation and the dirty-subgraph wave plans
+// the recalc scheduler (sched/recalc_scheduler.h) builds, runs and
+// summarizes for EXPLAIN.
 //
 // Full recalc re-evaluates the whole transitive closure of a dirty set
 // even when most recomputed values come out identical (a constant
@@ -66,17 +66,15 @@ std::vector<std::vector<int>> BuildWaves(
     std::vector<int>* leftover);
 
 /// Appends every dirty formula cell (and its AST) in dirty-range
-/// enumeration order — the node order both the serial path and the
-/// leftover replay depend on.
+/// enumeration order — the node order both serial-inline evaluation and
+/// the leftover replay depend on.
 void CollectDirtyFormulaCells(const Sheet& sheet, std::span<const Range> dirty,
                               std::vector<Cell>* nodes,
                               std::vector<const Expr*>* asts);
 
 /// The dirty subgraph in wave form: one node per dirty formula cell,
 /// cell-level edges from reference expansion, Kahn waves, and the
-/// cycle-blocked leftover. Shared between the engine's serial cutoff
-/// path, RecalcScheduler::Execute, and RecalcScheduler::Plan so the
-/// three can never disagree on wave structure.
+/// cycle-blocked leftover.
 struct CellWavePlan {
   std::vector<Cell> nodes;
   std::vector<const Expr*> asts;
@@ -89,7 +87,7 @@ struct CellWavePlan {
   std::vector<char> forced;
   uint64_t edges = 0;
   /// Edge expansion blew `max_edges`; waves/leftover are unusable and
-  /// the caller must fall back (range-granular or eager serial).
+  /// the caller must fall back to range-granular leveling.
   bool over_budget = false;
   std::vector<std::vector<int>> waves;
   std::vector<int> leftover;  ///< Cycle members + downstream, node order.
@@ -103,22 +101,27 @@ CellWavePlan BuildCellWavePlan(std::vector<Cell> nodes,
                                std::span<const Range> seeds,
                                uint64_t max_edges);
 
-/// What a cutoff evaluation did. `evaluated + skipped == dirty_formulas`
-/// always (the invariant the differential suite pins).
-struct CutoffOutcome {
-  uint64_t evaluated = 0;       ///< Formula cells actually re-evaluated.
-  uint64_t skipped = 0;         ///< Formula cells pruned (prior restored).
-  uint64_t dirty_formulas = 0;  ///< Total formula cells in the pass.
+/// The range-granular fallback plan: the disjoint dirty RANGES are the
+/// nodes and an R-tree over them turns each reference into range-level
+/// edges. A range is one unit of work (its formulas evaluate in
+/// enumeration order inside one task), so intra-range dependencies cost
+/// nothing to schedule and never become edges.
+struct RangeWavePlan {
+  std::vector<uint64_t> formulas;  ///< Formula cells per dirty range.
+  std::vector<std::vector<int>> adj;
+  /// Some formula cell of the range reads an edited rectangle directly
+  /// (or was edited): cutoff never prunes the range.
+  std::vector<char> forced;
+  uint64_t edges = 0;  ///< Distinct range-level edges.
+  std::vector<std::vector<int>> waves;
+  std::vector<int> leftover;  ///< Cross-range cycles + downstream.
 };
 
-/// Evaluates `plan` wave-by-wave on the calling thread with value-change
-/// cutoff: pruned nodes get their prior value primed back into
-/// `evaluator` (the pass invalidated it), evaluated nodes whose value
-/// changed mark their dependents for evaluation, and the leftover
-/// replays serially un-cut. Requires `!plan.over_budget`.
-CutoffOutcome SerialCutoffEvaluate(const CellWavePlan& plan,
-                                   Evaluator* evaluator,
-                                   const CutoffContext& ctx);
+/// Discovers the range-level edges of `dirty`, marks seed-forced ranges
+/// (`seeds` may be empty), and builds the waves.
+RangeWavePlan BuildRangeWavePlan(const Sheet& sheet,
+                                 std::span<const Range> dirty,
+                                 std::span<const Range> seeds);
 
 }  // namespace taco
 

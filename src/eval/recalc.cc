@@ -1,6 +1,5 @@
 #include "eval/recalc.h"
 
-#include <algorithm>
 #include <unordered_set>
 #include <utility>
 
@@ -42,189 +41,63 @@ Edit Edit::ClearRange(const Range& range) {
   return edit;
 }
 
-uint64_t RecalcPlan::max_wave_cells() const {
-  uint64_t max_cells = 0;
-  for (uint64_t cells : wave_cells) max_cells = std::max(max_cells, cells);
-  return max_cells;
-}
-
-std::string_view RecalcPlan::granularity_name() const {
-  switch (granularity) {
-    case Granularity::kSerialInline:  return "serial-inline";
-    case Granularity::kCellGranular:  return "cell-granular";
-    case Granularity::kRangeGranular: return "range-granular";
-  }
-  return "?";
-}
-
-namespace {
-
-/// Counts the formula cells in `dirty` for plan reporting, bounded so an
-/// EXPLAIN of a giant sparse rectangle cannot take longer than the pass
-/// it describes.  Returns false when the area budget was exceeded (the
-/// count is then a lower bound over the ranges scanned so far).
-bool CountDirtyFormulas(const Sheet& sheet, std::span<const Range> dirty,
-                        uint64_t max_area, uint64_t* formulas) {
-  *formulas = 0;
-  uint64_t scanned = 0;
-  for (const Range& range : dirty) {
-    scanned += range.Area();
-    if (scanned > max_area) return false;
-    for (const Cell& cell : EnumerateCells(range)) {
-      if (sheet.IsFormulaCell(cell)) ++(*formulas);
-    }
-  }
-  return true;
-}
-
-/// Budgets for the engine's own (serial-path) cutoff machinery. The
-/// prior-capture area bound mirrors SchedulerOptions::max_cells and the
-/// edge bound mirrors max_edges: past either, cutoff bookkeeping would
-/// dominate the pass it's trying to shrink, so the engine falls back to
-/// the eager full evaluation with zero cells skipped.
-constexpr uint64_t kCutoffMaxPriorArea = 1u << 20;
-constexpr uint64_t kCutoffMaxEdges = 4u << 20;
-
-}  // namespace
-
-RecalcPlan RecalcExecutor::Plan(const Sheet& sheet,
-                                std::span<const Range> dirty,
-                                std::span<const Range> /*seeds*/,
-                                bool cutoff) const {
-  RecalcPlan plan;
-  plan.granularity = RecalcPlan::Granularity::kSerialInline;
-  plan.decision = "no_planner";
-  plan.cutoff = cutoff;
-  plan.dirty_ranges = dirty.size();
-  for (const Range& range : dirty) plan.dirty_area += range.Area();
-  CountDirtyFormulas(sheet, dirty, 1u << 20, &plan.dirty_formulas);
-  return plan;
-}
-
 RecalcEngine::RecalcEngine(Sheet* sheet, DependencyGraph* graph)
     : sheet_(sheet), graph_(graph), evaluator_(sheet) {}
 
-RecalcResult RecalcEngine::Recalculate(const Range& changed) {
-  return RecalculateMerged({&changed, 1});
+uint64_t RecalcEngine::FindDirty(std::span<const Range> changed,
+                                 std::vector<Range>* seeds,
+                                 std::vector<Range>* dirty,
+                                 uint64_t* dirty_cells) {
+  *seeds = DisjointifyRanges(changed);
+  std::vector<Range> dirty_union;
+  auto start = SteadyNow();
+  for (const Range& seed : *seeds) {
+    std::vector<Range> found = graph_->FindDependents(seed);
+    dirty_union.insert(dirty_union.end(), found.begin(), found.end());
+  }
+  *dirty = DisjointifyRanges(dirty_union);
+  uint64_t ns = NsSince(start);
+  for (const Range& range : *dirty) *dirty_cells += range.Area();
+  return ns;
 }
 
 RecalcResult RecalcEngine::RecalculateMerged(std::span<const Range> changed) {
   RecalcResult result;
   result.recalc_passes = 1;
-
-  // One merged dirty-set computation: query the dependents of each distinct
-  // changed rectangle and collapse the union into disjoint ranges so the
-  // re-evaluation pass below visits each dirty formula exactly once.
-  std::vector<Range> seeds = DisjointifyRanges(changed);
-  std::vector<Range> dirty_union;
-  auto start = SteadyNow();
-  for (const Range& seed : seeds) {
-    std::vector<Range> dirty = graph_->FindDependents(seed);
-    dirty_union.insert(dirty_union.end(), dirty.begin(), dirty.end());
-  }
-  result.dirty = DisjointifyRanges(dirty_union);
-  result.find_dependents_ns = NsSince(start);
+  CutoffContext ctx;
+  result.find_dependents_ns =
+      FindDirty(changed, &ctx.seeds, &result.dirty, &result.dirty_cells);
   result.find_dependents_ms = double(result.find_dependents_ns) / 1e6;
 
-  for (const Range& range : result.dirty) result.dirty_cells += range.Area();
-
   // Cutoff needs the dirty cells' prior values, which invalidation is
-  // about to destroy — capture them first (bounded: past the area budget
-  // the pass runs eagerly with zero cells skipped).
-  CutoffContext ctx;
-  bool cutoff_ready = false;
-  if (cutoff_ && result.dirty_cells <= kCutoffMaxPriorArea) {
-    ctx.seeds = seeds;
-    CapturePriorValues(*sheet_, evaluator_, result.dirty, &ctx);
-    cutoff_ready = true;
-  }
+  // about to destroy — capture them first.
+  const bool cut = CutoffApplies(result.dirty_cells);
+  if (cut) CapturePriorValues(*sheet_, evaluator_, result.dirty, &ctx);
 
-  for (const Range& seed : seeds) evaluator_.Invalidate(seed);
+  for (const Range& seed : ctx.seeds) evaluator_.Invalidate(seed);
   for (const Range& range : result.dirty) evaluator_.Invalidate(range);
 
   auto eval_start = SteadyNow();
-  if (mode_ == RecalcMode::kParallel && executor_ != nullptr) {
-    RecalcExecutor::Outcome outcome = executor_->Execute(
-        *sheet_, &evaluator_, result.dirty, cutoff_ready ? &ctx : nullptr);
-    result.recalculated = outcome.recalculated;
-    result.cells_skipped_cutoff = outcome.cells_skipped_cutoff;
-    result.dirty_formulas = outcome.dirty_formulas;
-    result.waves = outcome.waves;
-    result.max_wave_cells = outcome.max_wave_cells;
-    result.barrier_wait_ns = outcome.barrier_wait_ns;
-  } else {
-    bool cut = false;
-    if (cutoff_ready) {
-      // Serial cutoff: evaluate the dirty subgraph wave-by-wave so a
-      // value-unchanged commit prunes the dependents reachable only
-      // through it (eval/cutoff.h). Wave order is equivalent to the
-      // eager order for acyclic cells, and the cycle leftover replays in
-      // the same node order, so results are identical either way.
-      // RecalcResult::waves stays 0: no parallel waves were dispatched.
-      std::vector<Cell> nodes;
-      std::vector<const Expr*> asts;
-      CollectDirtyFormulaCells(*sheet_, result.dirty, &nodes, &asts);
-      CellWavePlan plan = BuildCellWavePlan(std::move(nodes), std::move(asts),
-                                           ctx.seeds, kCutoffMaxEdges);
-      if (!plan.over_budget) {
-        CutoffOutcome outcome = SerialCutoffEvaluate(plan, &evaluator_, ctx);
-        result.recalculated = outcome.evaluated;
-        result.cells_skipped_cutoff = outcome.skipped;
-        result.dirty_formulas = outcome.dirty_formulas;
-        cut = true;
-      }
-    }
-    if (!cut) {
-      // Re-evaluate eagerly; the recursive evaluator resolves ordering
-      // and the shared cache makes each formula compute once. The dirty
-      // ranges are disjoint, so no formula is visited (or counted)
-      // twice.
-      for (const Range& range : result.dirty) {
-        for (const Cell& cell : EnumerateCells(range)) {
-          if (sheet_->IsFormulaCell(cell)) {
-            evaluator_.EvaluateCell(cell);
-            ++result.recalculated;
-          }
-        }
-      }
-      result.dirty_formulas = result.recalculated;
-    }
-  }
+  RecalcScheduler::Outcome outcome = scheduler().Execute(
+      *sheet_, &evaluator_, result.dirty, cut ? &ctx : nullptr);
   result.eval_ns = NsSince(eval_start);
   result.eval_ms = double(result.eval_ns) / 1e6;
+  result.recalculated = outcome.recalculated;
+  result.cells_skipped_cutoff = outcome.cells_skipped_cutoff;
+  result.dirty_formulas = outcome.dirty_formulas;
+  result.waves = outcome.waves;
+  result.max_wave_cells = outcome.max_wave_cells;
+  result.barrier_wait_ns = outcome.barrier_wait_ns;
   return result;
 }
 
 RecalcEngine::ExplainInfo RecalcEngine::Explain(const Range& target) {
   ExplainInfo info;
-  info.mode = mode_;
-  info.parallel_active = mode_ == RecalcMode::kParallel && executor_ != nullptr;
   info.cutoff = cutoff_;
-
-  // The exact dirty-set recipe of RecalculateMerged, minus invalidation.
-  info.seeds = DisjointifyRanges({&target, 1});
-  std::vector<Range> dirty_union;
-  auto start = SteadyNow();
-  for (const Range& seed : info.seeds) {
-    std::vector<Range> dirty = graph_->FindDependents(seed);
-    dirty_union.insert(dirty_union.end(), dirty.begin(), dirty.end());
-  }
-  info.dirty = DisjointifyRanges(dirty_union);
-  info.find_dependents_ns = NsSince(start);
-  for (const Range& range : info.dirty) info.dirty_cells += range.Area();
-
-  if (info.parallel_active) {
-    info.plan = executor_->Plan(*sheet_, info.dirty, info.seeds, cutoff_);
-  } else {
-    info.plan.granularity = RecalcPlan::Granularity::kSerialInline;
-    info.plan.decision =
-        executor_ == nullptr ? "no_executor" : "mode=serial";
-    info.plan.cutoff = cutoff_;
-    info.plan.dirty_ranges = info.dirty.size();
-    info.plan.dirty_area = info.dirty_cells;
-    CountDirtyFormulas(*sheet_, info.dirty, 1u << 20,
-                       &info.plan.dirty_formulas);
-  }
+  info.find_dependents_ns =
+      FindDirty({&target, 1}, &info.seeds, &info.dirty, &info.dirty_cells);
+  info.plan = scheduler().Plan(*sheet_, info.dirty, info.seeds,
+                               CutoffApplies(info.dirty_cells));
   return info;
 }
 

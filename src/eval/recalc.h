@@ -19,11 +19,10 @@
 #include "eval/evaluator.h"
 #include "eval/value_version.h"
 #include "graph/dependency_graph.h"
+#include "sched/recalc_scheduler.h"
 #include "sheet/sheet.h"
 
 namespace taco {
-
-struct CutoffContext;  // eval/cutoff.h
 
 /// Outcome of one update (or one batch of updates).
 struct RecalcResult {
@@ -47,98 +46,9 @@ struct RecalcResult {
   /// which a double-ms aggregate quietly rounds into noise.
   uint64_t find_dependents_ns = 0;
   uint64_t eval_ns = 0;
-  uint64_t barrier_wait_ns = 0;    ///< Wave-barrier wait (parallel only).
-  uint64_t waves = 0;              ///< Topological waves executed (0 = serial).
+  uint64_t barrier_wait_ns = 0;    ///< Wave-barrier wait (pooled waves only).
+  uint64_t waves = 0;              ///< Topological waves (0 = serial-inline).
   uint64_t max_wave_cells = 0;     ///< Largest wave, in formula cells.
-};
-
-/// How the engine re-evaluates a dirty set. kParallel only takes effect
-/// when an executor is plugged in (set_executor); without one the engine
-/// silently stays serial, so taco_core keeps no thread dependency.
-enum class RecalcMode {
-  kSerial,    ///< One thread, dirty-range enumeration order.
-  kParallel,  ///< Wave-scheduled across the plugged-in executor.
-};
-
-/// A dry-run of the wave planner: what an executor WOULD do with a
-/// dirty set, without evaluating anything.  This is the inspectable
-/// unit behind the EXPLAIN protocol verb — it must mirror the real
-/// Execute decision tree exactly (same thresholds, same order), so a
-/// plan's waves/granularity always match the pass a mutation would run.
-struct RecalcPlan {
-  enum class Granularity {
-    kSerialInline,   ///< Evaluated on the calling thread, no waves.
-    kCellGranular,   ///< Per-cell nodes, Kahn waves.
-    kRangeGranular,  ///< Disjoint dirty ranges as nodes, R-tree edges.
-  };
-
-  Granularity granularity = Granularity::kSerialInline;
-  /// The threshold that made the decision, as a compact machine-greppable
-  /// token (e.g. "dirty_area(12)<min_parallel_cells(64)").  Never empty.
-  std::string decision;
-  int width = 1;                     ///< Wave-execution width (threads).
-  /// The plan models a cutoff pass: the width/min_parallel_cells serial
-  /// short-circuits don't apply (cutoff always builds waves when the
-  /// granularity budgets allow), and `wave_cutoff_eligible` is filled.
-  bool cutoff = false;
-  uint64_t dirty_ranges = 0;         ///< Disjoint dirty rectangles.
-  uint64_t dirty_area = 0;           ///< Total cells covered by them.
-  uint64_t dirty_formulas = 0;       ///< Formula cells among them.
-  uint64_t edges = 0;                ///< Dependency edges the plan expanded.
-  uint64_t cycle_cells = 0;          ///< Nodes on/downstream of cycles.
-  std::vector<uint64_t> wave_cells;  ///< Work units per topological wave.
-  /// Per-wave upper bound on cutoff pruning (cutoff plans only): work
-  /// units with no direct seed input. Whether they actually skip depends
-  /// on runtime values, so execution's skip count is <= the sum of this.
-  std::vector<uint64_t> wave_cutoff_eligible;
-
-  uint64_t waves() const { return wave_cells.size(); }
-  uint64_t max_wave_cells() const;
-  std::string_view granularity_name() const;
-};
-
-/// The pluggable parallel-execution seam between the engine (taco_core,
-/// thread-free) and the wave scheduler (taco_sched, owns the threads).
-/// An executor must evaluate EVERY dirty formula cell of `dirty` into
-/// `evaluator`'s cache with results cell-for-cell identical to the
-/// serial path — including #CYCLE!/error outcomes — before returning
-/// (src/sched/recalc_scheduler.h documents how that determinism is
-/// achieved).
-class RecalcExecutor {
- public:
-  /// What the executor did, for RecalcResult's wave metrics.
-  struct Outcome {
-    uint64_t recalculated = 0;    ///< Formula cells evaluated.
-    /// Formula cells pruned by value-change cutoff (prior restored).
-    uint64_t cells_skipped_cutoff = 0;
-    /// Total formula cells of the pass (recalculated + skipped).
-    uint64_t dirty_formulas = 0;
-    uint64_t waves = 0;           ///< Topological waves executed.
-    uint64_t max_wave_cells = 0;  ///< Largest wave, in formula cells.
-    uint64_t barrier_wait_ns = 0; ///< Time the coordinator spent blocked
-                                  ///  on wave barriers (contention signal:
-                                  ///  eval_ns minus this is compute).
-  };
-
-  virtual ~RecalcExecutor() = default;
-
-  /// Evaluates every dirty formula cell. `dirty` ranges are disjoint;
-  /// the evaluator has already been invalidated for them. When `cutoff`
-  /// is non-null the executor MAY prune dependents of value-unchanged
-  /// cells, restoring their captured prior values instead — the cache
-  /// must still end up cell-for-cell identical to a full pass.
-  virtual Outcome Execute(const Sheet& sheet, Evaluator* evaluator,
-                          std::span<const Range> dirty,
-                          const CutoffContext* cutoff) = 0;
-
-  /// Plans (without executing) the pass Execute would run for `dirty`.
-  /// Read-only and side-effect-free.  `seeds` (the edited rectangles)
-  /// and `cutoff` describe the cutoff configuration the pass would run
-  /// with; they only affect the plan when cutoff is on.  The default
-  /// implementation models an executor-less engine: everything evaluates
-  /// serially inline.
-  virtual RecalcPlan Plan(const Sheet& sheet, std::span<const Range> dirty,
-                          std::span<const Range> seeds, bool cutoff) const;
 };
 
 /// One deferred cell mutation, for batched application. Constructed via
@@ -207,18 +117,14 @@ class RecalcEngine {
   /// What a mutation of `target` would recalculate, without mutating:
   /// the dependency-closure half of EXPLAIN.  Runs the exact dirty-set
   /// recipe of RecalculateMerged (FindDependents per disjoint seed,
-  /// union disjointified) and then asks the active executor to Plan the
-  /// pass; an engine in serial mode (or without an executor) reports a
-  /// serial-inline plan.  Non-const only because graph queries update
-  /// the graph's query counters; no sheet/graph/evaluator/version state
-  /// changes.
+  /// union disjointified) and then asks the scheduler to Plan the pass.
+  /// Non-const only because graph queries update the graph's query
+  /// counters; no sheet/graph/evaluator/version state changes.
   struct ExplainInfo {
     std::vector<Range> seeds;        ///< Disjointified seed rectangles.
     std::vector<Range> dirty;        ///< The would-be dirty ranges.
     uint64_t dirty_cells = 0;        ///< Area covered by `dirty`.
     uint64_t find_dependents_ns = 0; ///< Closure query time (measured).
-    RecalcMode mode = RecalcMode::kSerial;
-    bool parallel_active = false;    ///< kParallel AND an executor plugged.
     bool cutoff = false;             ///< Value-change cutoff enabled.
     RecalcPlan plan;
   };
@@ -227,9 +133,9 @@ class RecalcEngine {
   /// The version-publication hook at the recalc commit point: builds the
   /// immutable ValueVersion succeeding the last published one, covering
   /// `touched` (the commit's seed rectangles plus its dirty ranges).
-  /// Serial and parallel commits call this identically — by the
-  /// executor's contract the evaluator cache holds the same committed
-  /// values either way, so the published version is mode-independent.
+  /// Every commit calls this identically — by the scheduler's contract
+  /// the evaluator cache holds the same committed values at any width,
+  /// so the published version is width-independent.
   /// NOT thread-safe; the caller serializes it with mutations (the
   /// session lock) and hands the result to readers via an atomic store.
   std::shared_ptr<const ValueVersion> PublishVersion(
@@ -240,30 +146,38 @@ class RecalcEngine {
     return version_;
   }
 
-  /// Plugs in (or clears) the parallel executor; `executor` must outlive
-  /// the engine. Switching the executor or mode between operations is
-  /// safe — recalc consults both at the start of each pass.
-  void set_executor(RecalcExecutor* executor) { executor_ = executor; }
-
-  /// Selects the recalc path. kParallel without an executor runs serial.
-  void set_mode(RecalcMode mode) { mode_ = mode; }
-  RecalcMode mode() const { return mode_; }
+  /// Plugs in (or clears, with null) a shared wave scheduler, which
+  /// must outlive the engine. Without one the engine runs every pass
+  /// through its own pool-less scheduler, i.e. at width 1. Switching
+  /// between operations is safe: each pass consults it at the start.
+  void set_scheduler(RecalcScheduler* scheduler) { scheduler_ = scheduler; }
 
   /// Toggles value-change cutoff: recalc passes compare each committed
   /// value against its prior and prune dependents reachable only
   /// through unchanged cells (eval/cutoff.h documents why results stay
-  /// cell-for-cell identical). Applies to the serial path directly and
-  /// is forwarded to the executor on parallel passes. Off by default.
+  /// cell-for-cell identical). Off by default.
   void set_cutoff(bool cutoff) { cutoff_ = cutoff; }
   bool cutoff() const { return cutoff_; }
 
  private:
-  /// Invalidates and re-evaluates everything depending on `changed`.
-  RecalcResult Recalculate(const Range& changed);
+  /// One merged dirty-set computation: FindDependents per distinct
+  /// changed rectangle (`seeds`), the union collapsed into disjoint
+  /// `dirty` ranges covering `dirty_cells`. Returns the query time in ns.
+  uint64_t FindDirty(std::span<const Range> changed, std::vector<Range>* seeds,
+                     std::vector<Range>* dirty, uint64_t* dirty_cells);
 
-  /// Merged variant: one FindDependents sweep over every changed range,
-  /// one de-duplicated re-evaluation pass.
+  /// Invalidates and re-evaluates everything depending on `changed`, in
+  /// one de-duplicated pass.
   RecalcResult RecalculateMerged(std::span<const Range> changed);
+
+  RecalcScheduler& scheduler() {
+    return scheduler_ != nullptr ? *scheduler_ : own_scheduler_;
+  }
+  /// Cutoff applies to a pass when enabled and the dirty area is within
+  /// the scheduler's `max_cells` (the bound on prior capture).
+  bool CutoffApplies(uint64_t dirty_cells) {
+    return cutoff_ && dirty_cells <= scheduler().options().max_cells;
+  }
 
   /// Mutates sheet + graph for one edit without recalculating; appends
   /// the changed rectangle to `changed`.
@@ -272,8 +186,8 @@ class RecalcEngine {
   Sheet* sheet_;
   DependencyGraph* graph_;
   Evaluator evaluator_;
-  RecalcExecutor* executor_ = nullptr;
-  RecalcMode mode_ = RecalcMode::kSerial;
+  RecalcScheduler own_scheduler_{nullptr};
+  RecalcScheduler* scheduler_ = nullptr;  ///< Plugged in; null = own.
   bool cutoff_ = false;
   std::shared_ptr<const ValueVersion> version_;  ///< Last published.
 };

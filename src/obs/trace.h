@@ -48,7 +48,7 @@ struct TraceSpan {
                                     ///  the wait for the shared flush.
   uint64_t respond_ns = 0;          ///< Everything else (ack path).
   uint64_t dirty_cells = 0;
-  uint64_t waves = 0;               ///< 0 = serial evaluation.
+  uint64_t waves = 0;               ///< 0 = serial-inline evaluation.
 
   /// Single-line structured rendering ("span seq=3 op=SET ... total_us=…"),
   /// used verbatim by TRACE responses and the slow-op stderr log. Integer

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -12,8 +11,6 @@
 #include "common/range_set.h"
 #include "eval/cutoff.h"
 #include "eval/evaluator.h"
-#include "formula/references.h"
-#include "rtree/rtree.h"
 #include "sheet/sheet.h"
 
 namespace taco {
@@ -30,8 +27,8 @@ struct WorkerContext {
   Evaluator eval;
 };
 
-/// Builds the per-pass worker contexts (lazily — serial passes never
-/// allocate them).
+/// Builds the per-pass worker contexts (lazily — passes whose waves all
+/// run inline never allocate them).
 std::vector<std::unique_ptr<WorkerContext>> MakeContexts(
     int n, const Sheet& sheet, const Evaluator* base) {
   std::vector<std::unique_ptr<WorkerContext>> contexts;
@@ -49,11 +46,24 @@ std::string Decision(const char* format, uint64_t a, uint64_t b) {
   return buffer;
 }
 
-/// Bounded formula count for plan reporting on the paths that never
-/// enumerate nodes (serial fast-outs); `max_area` keeps a dry run from
-/// outlasting the pass it describes.
-uint64_t CountFormulasBounded(const Sheet& sheet, std::span<const Range> dirty,
-                              uint64_t max_area) {
+/// Evaluates the formula cells of `range` in enumeration order on the
+/// calling thread; returns how many there were.
+uint64_t EvaluateRange(const Sheet& sheet, Evaluator* evaluator,
+                       const Range& range) {
+  uint64_t evaluated = 0;
+  for (const Cell& cell : EnumerateCells(range)) {
+    if (sheet.IsFormulaCell(cell)) {
+      evaluator->EvaluateCell(cell);
+      ++evaluated;
+    }
+  }
+  return evaluated;
+}
+
+/// Formula cells in `dirty`, for serial-inline plan summaries; bounded by
+/// `max_area` so a dry run cannot outlast the pass it describes.
+uint64_t CountDirtyFormulas(const Sheet& sheet, std::span<const Range> dirty,
+                            uint64_t max_area) {
   uint64_t formulas = 0;
   uint64_t scanned = 0;
   for (const Range& range : dirty) {
@@ -66,340 +76,375 @@ uint64_t CountFormulasBounded(const Sheet& sheet, std::span<const Range> dirty,
   return formulas;
 }
 
+/// True when `cell` committed a value other than its captured prior (or
+/// had none), i.e. its dependents must evaluate.
+bool ChangedFromPrior(const CutoffContext& cutoff, const Cell& cell,
+                      const Value& now) {
+  auto it = cutoff.prior.find(cell);
+  return it == cutoff.prior.end() || !(now == it->second);
+}
+
 }  // namespace
+
+uint64_t RecalcPlan::max_wave_cells() const {
+  uint64_t max_cells = 0;
+  for (uint64_t cells : wave_cells) max_cells = std::max(max_cells, cells);
+  return max_cells;
+}
+
+std::string_view RecalcPlan::granularity_name() const {
+  switch (granularity) {
+    case Granularity::kSerialInline:  return "serial-inline";
+    case Granularity::kCellGranular:  return "cell-granular";
+    case Granularity::kRangeGranular: return "range-granular";
+  }
+  return "?";
+}
 
 RecalcScheduler::RecalcScheduler(ThreadPool* pool, SchedulerOptions options)
     : pool_(pool), options_(options) {}
 
-RecalcExecutor::Outcome RecalcScheduler::ExecuteCellCutoff(
-    const CellWavePlan& plan, const Sheet& sheet, Evaluator* evaluator,
-    const CutoffContext& cutoff, int width) {
-  Outcome outcome;
-  const int n = static_cast<int>(plan.nodes.size());
-  outcome.dirty_formulas = static_cast<uint64_t>(n);
+int RecalcScheduler::width() const {
+  return pool_ == nullptr
+             ? 1
+             : std::max(1, std::min(options_.threads, pool_->num_threads()));
+}
 
-  // A node evaluates when it was edited, reads a seed, had no captured
-  // prior, or a dirty precedent committed a changed value (marked as
-  // earlier waves commit). Everything else restores its prior value.
-  std::vector<char> needs_eval(n);
-  for (int i = 0; i < n; ++i) {
-    needs_eval[i] = plan.forced[i] != 0 ||
-                    cutoff.prior.find(plan.nodes[i]) == cutoff.prior.end();
+RecalcScheduler::PassPlan RecalcScheduler::PlanPass(
+    const Sheet& sheet, std::span<const Range> dirty,
+    std::span<const Range> seeds, bool cutoff) const {
+  PassPlan pass;
+  RecalcPlan& plan = pass.summary;
+  plan.cutoff = cutoff;
+  plan.width = width();
+  plan.dirty_ranges = dirty.size();
+  for (const Range& range : dirty) plan.dirty_area += range.Area();
+  if (!cutoff) seeds = {};
+
+  // Without cutoff, passes too narrow or too small to pay for planning
+  // evaluate inline. A cutoff pass builds waves regardless: pruning
+  // needs the wave structure, and narrow waves just run inline.
+  if (!cutoff && plan.width <= 1) {
+    plan.decision = Decision("width(%" PRIu64 ")<=1 no_pool(%" PRIu64 ")",
+                             static_cast<uint64_t>(plan.width),
+                             static_cast<uint64_t>(pool_ == nullptr ? 1 : 0));
+    return pass;
   }
-  // An evaluated node whose committed value differs from its prior (or
-  // that had none) un-prunes every dependent.
+  if (!cutoff && plan.dirty_area < options_.min_parallel_cells) {
+    plan.decision =
+        Decision("dirty_area(%" PRIu64 ")<min_parallel_cells(%" PRIu64 ")",
+                 plan.dirty_area, options_.min_parallel_cells);
+    return pass;
+  }
+  // Too fragmented for range-granular edge discovery. Without cutoff
+  // such a pass skips planning altogether; a cutoff pass still tries
+  // cell-granular waves, whose cost does not grow with the range count.
+  const bool fragmented = dirty.size() > options_.max_ranges;
+  auto decide_fragmented = [&] {
+    plan.decision =
+        Decision("dirty_ranges(%" PRIu64 ")>max_ranges(%" PRIu64 ")",
+                 plan.dirty_ranges, options_.max_ranges);
+  };
+  if (!cutoff && fragmented) {
+    decide_fragmented();
+    return pass;
+  }
+
+  if (plan.dirty_area <= options_.max_cells) {
+    // Nodes: every dirty formula cell, in dirty-range enumeration order.
+    std::vector<Cell> nodes;
+    std::vector<const Expr*> asts;
+    CollectDirtyFormulaCells(sheet, dirty, &nodes, &asts);
+    plan.dirty_formulas = nodes.size();
+    if (!cutoff && nodes.size() < options_.min_parallel_cells) {
+      plan.decision =
+          Decision("dirty_formulas(%" PRIu64 ")<min_parallel_cells(%" PRIu64
+                   ")",
+                   plan.dirty_formulas, options_.min_parallel_cells);
+      pass.cells.nodes = std::move(nodes);
+      return pass;
+    }
+    pass.cells = BuildCellWavePlan(std::move(nodes), std::move(asts), seeds,
+                                   options_.max_edges);
+    plan.edges = pass.cells.edges;
+    if (!pass.cells.over_budget) {
+      plan.granularity = RecalcPlan::Granularity::kCellGranular;
+      plan.decision = Decision("edges(%" PRIu64 ")<=max_edges(%" PRIu64 ")",
+                               plan.edges, options_.max_edges);
+      plan.wave_cells.reserve(pass.cells.waves.size());
+      for (const std::vector<int>& wave : pass.cells.waves) {
+        plan.wave_cells.push_back(wave.size());
+        if (cutoff) {
+          // Upper bound: nodes with no direct seed input MAY skip when
+          // their dirty precedents all commit unchanged (and a prior
+          // value is cached — unknowable in a dry run).
+          uint64_t eligible = 0;
+          for (int idx : wave) eligible += pass.cells.forced[idx] == 0;
+          plan.wave_cutoff_eligible.push_back(eligible);
+        }
+      }
+      plan.cycle_cells = pass.cells.leftover.size();
+      return pass;
+    }
+    plan.decision = Decision("edges(%" PRIu64 ")>max_edges(%" PRIu64 ")",
+                             plan.edges, options_.max_edges);
+    pass.cells = CellWavePlan{};  // Free the aborted expansion.
+  } else {
+    plan.decision = Decision("dirty_area(%" PRIu64 ")>max_cells(%" PRIu64 ")",
+                             plan.dirty_area, options_.max_cells);
+  }
+
+  if (fragmented) {
+    decide_fragmented();
+    return pass;
+  }
+  plan.granularity = RecalcPlan::Granularity::kRangeGranular;
+  pass.ranges = BuildRangeWavePlan(sheet, dirty, seeds);
+  const RangeWavePlan& ranges = pass.ranges;
+  plan.edges = ranges.edges;
+  plan.dirty_formulas = 0;
+  for (uint64_t formulas : ranges.formulas) plan.dirty_formulas += formulas;
+  plan.wave_cells.reserve(ranges.waves.size());
+  for (const std::vector<int>& wave : ranges.waves) {
+    uint64_t wave_cells = 0;
+    uint64_t eligible = 0;
+    for (int j : wave) {
+      wave_cells += ranges.formulas[j];
+      if (ranges.forced[j] == 0) eligible += ranges.formulas[j];
+    }
+    plan.wave_cells.push_back(wave_cells);
+    if (cutoff) plan.wave_cutoff_eligible.push_back(eligible);
+  }
+  for (int j : ranges.leftover) plan.cycle_cells += ranges.formulas[j];
+  return pass;
+}
+
+RecalcPlan RecalcScheduler::Plan(const Sheet& sheet,
+                                 std::span<const Range> dirty,
+                                 std::span<const Range> seeds,
+                                 bool cutoff) const {
+  RecalcPlan plan = PlanPass(sheet, dirty, seeds, cutoff).summary;
+  // Serial-inline execution counts formulas as it evaluates them; a dry
+  // run has to count them here.
+  if (plan.granularity == RecalcPlan::Granularity::kSerialInline) {
+    plan.dirty_formulas = CountDirtyFormulas(sheet, dirty, options_.max_cells);
+  }
+  return plan;
+}
+
+RecalcScheduler::Outcome RecalcScheduler::Execute(
+    const Sheet& sheet, Evaluator* evaluator, std::span<const Range> dirty,
+    const CutoffContext* cutoff) const {
+  PassPlan pass = PlanPass(
+      sheet, dirty,
+      cutoff != nullptr ? std::span<const Range>(cutoff->seeds)
+                        : std::span<const Range>(),
+      cutoff != nullptr);
+  Outcome outcome;
+  outcome.waves = pass.summary.waves();
+  outcome.max_wave_cells = pass.summary.max_wave_cells();
+  switch (pass.summary.granularity) {
+    case RecalcPlan::Granularity::kSerialInline:
+      // Dirty-range enumeration order, or the same order through the
+      // nodes the planner already collected.
+      if (!pass.cells.nodes.empty()) {
+        for (const Cell& cell : pass.cells.nodes) evaluator->EvaluateCell(cell);
+        outcome.recalculated = pass.cells.nodes.size();
+      } else {
+        for (const Range& range : dirty) {
+          outcome.recalculated += EvaluateRange(sheet, evaluator, range);
+        }
+      }
+      outcome.dirty_formulas = outcome.recalculated;
+      break;
+    case RecalcPlan::Granularity::kCellGranular:
+      RunCellWaves(pass.cells, sheet, evaluator, cutoff, &outcome);
+      break;
+    case RecalcPlan::Granularity::kRangeGranular:
+      RunRangeWaves(pass.ranges, dirty, sheet, evaluator, cutoff, &outcome);
+      break;
+  }
+  return outcome;
+}
+
+void RecalcScheduler::RunCellWaves(const CellWavePlan& plan,
+                                   const Sheet& sheet, Evaluator* evaluator,
+                                   const CutoffContext* cutoff,
+                                   Outcome* outcome) const {
+  const int n = static_cast<int>(plan.nodes.size());
+  const int width = this->width();
+  outcome->dirty_formulas = static_cast<uint64_t>(n);
+
+  // Cutoff: a node evaluates when it was edited, reads a seed, had no
+  // captured prior, or a dirty precedent committed a changed value
+  // (marked as earlier waves commit). Everything else restores its
+  // prior value.
+  std::vector<char> needs_eval;
+  if (cutoff != nullptr) {
+    needs_eval.resize(n);
+    for (int i = 0; i < n; ++i) {
+      needs_eval[i] = plan.forced[i] != 0 ||
+                      cutoff->prior.find(plan.nodes[i]) == cutoff->prior.end();
+    }
+  }
   auto mark_if_changed = [&](int idx, const Value& now) {
-    auto it = cutoff.prior.find(plan.nodes[idx]);
-    if (it != cutoff.prior.end() && now == it->second) return;
+    if (!ChangedFromPrior(*cutoff, plan.nodes[idx], now)) return;
     for (int d : plan.adj[idx]) needs_eval[d] = 1;
   };
 
   std::vector<std::unique_ptr<WorkerContext>> contexts;
-  std::vector<Value> values(n);
+  std::vector<Value> values;
   std::vector<int> eval_list;
   WaitGroup group;
   for (const std::vector<int>& wave : plan.waves) {
-    ++outcome.waves;
-    outcome.max_wave_cells =
-        std::max<uint64_t>(outcome.max_wave_cells, wave.size());
-    // Prune BEFORE dispatching the wave's workers: pruned nodes prime
-    // the shared cache, which workers read through — the restore must be
-    // visible to them and must not race them. Within a wave the nodes
-    // are independent, so prime-then-evaluate order is semantics-free.
-    eval_list.clear();
-    for (int idx : wave) {
-      if (needs_eval[idx]) {
-        eval_list.push_back(idx);
-        continue;
+    std::span<const int> run(wave);
+    if (cutoff != nullptr) {
+      // Prune BEFORE dispatching the wave's workers: pruned nodes prime
+      // the shared cache, which workers read through — the restore must
+      // be visible to them and must not race them. Within a wave the
+      // nodes are independent, so prime-then-evaluate order is
+      // semantics-free.
+      eval_list.clear();
+      for (int idx : wave) {
+        if (needs_eval[idx]) {
+          eval_list.push_back(idx);
+          continue;
+        }
+        evaluator->Prime(plan.nodes[idx], cutoff->prior.at(plan.nodes[idx]));
+        ++outcome->cells_skipped_cutoff;
       }
-      evaluator->Prime(plan.nodes[idx], cutoff.prior.at(plan.nodes[idx]));
-      ++outcome.cells_skipped_cutoff;
+      run = eval_list;
     }
-    if (pool_ == nullptr || width <= 1 ||
-        eval_list.size() < options_.min_parallel_wave) {
-      for (int idx : eval_list) {
-        Value now = evaluator->EvaluateCell(plan.nodes[idx]);
-        ++outcome.recalculated;
-        mark_if_changed(idx, now);
+    outcome->recalculated += run.size();
+    if (width <= 1 || run.size() < options_.min_parallel_wave) {
+      for (int idx : run) {
+        if (cutoff == nullptr) {
+          evaluator->EvaluateCell(plan.nodes[idx]);
+        } else {
+          mark_if_changed(idx, evaluator->EvaluateCell(plan.nodes[idx]));
+        }
       }
       continue;
     }
-    if (contexts.empty()) contexts = MakeContexts(width, sheet, evaluator);
-    const int tasks = std::min<int>(width, static_cast<int>(eval_list.size()));
+    if (contexts.empty()) {
+      contexts = MakeContexts(width, sheet, evaluator);
+      values.resize(n);
+    }
+    // Strided assignment balances skewed per-cell costs (e.g. the
+    // growing SUM($A$1:Ar) of an FR column) across workers.
+    const int tasks = std::min<int>(width, static_cast<int>(run.size()));
     for (int c = 0; c < tasks; ++c) {
       pool_->Submit(&group, [&, c, tasks] {
         Evaluator& eval = contexts[c]->eval;
-        for (size_t pos = c; pos < eval_list.size();
+        for (size_t pos = c; pos < run.size();
              pos += static_cast<size_t>(tasks)) {
-          const int idx = eval_list[pos];
+          const int idx = run[pos];
           values[idx] = eval.EvaluateCell(plan.nodes[idx]);
         }
       });
     }
     auto barrier_start = SteadyNow();
     group.Wait();
-    outcome.barrier_wait_ns += NsSince(barrier_start);
+    outcome->barrier_wait_ns += NsSince(barrier_start);
     // Single-threaded commit: workers never touch the shared cache.
     // Compare before the move steals the value.
-    for (int idx : eval_list) {
-      mark_if_changed(idx, values[idx]);
+    for (int idx : run) {
+      if (cutoff != nullptr) mark_if_changed(idx, values[idx]);
       evaluator->Prime(plan.nodes[idx], std::move(values[idx]));
-      ++outcome.recalculated;
     }
   }
   // Cycle members and their downstream dependents replay un-cut, in
-  // serial node order — cutoff never applies to them.
-  for (int idx : plan.leftover) {
-    evaluator->EvaluateCell(plan.nodes[idx]);
-    ++outcome.recalculated;
-  }
-  return outcome;
+  // serial node order.
+  for (int idx : plan.leftover) evaluator->EvaluateCell(plan.nodes[idx]);
+  outcome->recalculated += plan.leftover.size();
 }
 
-RecalcExecutor::Outcome RecalcScheduler::Execute(const Sheet& sheet,
-                                                 Evaluator* evaluator,
-                                                 std::span<const Range> dirty,
-                                                 const CutoffContext* cutoff) {
-  Outcome outcome;
-
-  // ----- Serial fast paths -------------------------------------------------
-  // Evaluates `cells` on the calling thread via the shared evaluator —
-  // bit-identical to RecalcMode::kSerial by construction.
-  auto eval_serial_range = [&](const Range& range) {
-    for (const Cell& cell : EnumerateCells(range)) {
-      if (sheet.IsFormulaCell(cell)) {
-        evaluator->EvaluateCell(cell);
-        ++outcome.recalculated;
-      }
-    }
-  };
-
-  uint64_t dirty_area = 0;
-  for (const Range& range : dirty) dirty_area += range.Area();
-
-  const int width =
-      pool_ == nullptr
-          ? 1
-          : std::max(1, std::min(options_.threads, pool_->num_threads()));
-  // With cutoff the width/min_parallel_cells short-circuits don't apply:
-  // a serial pass still wants the wave structure so it can prune (waves
-  // just evaluate inline). Without cutoff, tiny sets skip planning.
-  if (cutoff == nullptr &&
-      (width <= 1 || dirty_area < options_.min_parallel_cells)) {
-    for (const Range& range : dirty) eval_serial_range(range);
-    outcome.dirty_formulas = outcome.recalculated;
-    return outcome;
-  }
-
-  // ----- Plan: enumerate dirty formula cells in serial order ---------------
-  // (Shared by both granularities; the serial path visits cells in
-  // exactly this order, which is what the leftover pass must replay.)
-  const bool cell_granular = dirty_area <= options_.max_cells &&
-                             dirty.size() <= options_.max_ranges;
-  if (!cell_granular && dirty.size() > options_.max_ranges) {
-    // Too fragmented for either plan: edge discovery would dominate, and
-    // without a wave structure cutoff has nothing to prune.
-    for (const Range& range : dirty) eval_serial_range(range);
-    outcome.dirty_formulas = outcome.recalculated;
-    return outcome;
-  }
-
-  if (cell_granular) {
-    // Nodes: every dirty formula cell, in dirty-range enumeration order.
-    std::vector<Cell> nodes;
-    std::vector<const Expr*> asts;
-    CollectDirtyFormulaCells(sheet, dirty, &nodes, &asts);
-    const int n = static_cast<int>(nodes.size());
-    if (cutoff == nullptr &&
-        static_cast<uint64_t>(n) < options_.min_parallel_cells) {
-      for (int i = 0; i < n; ++i) evaluator->EvaluateCell(nodes[i]);
-      outcome.recalculated = n;
-      outcome.dirty_formulas = n;
-      return outcome;
-    }
-
-    CellWavePlan plan = BuildCellWavePlan(
-        std::move(nodes), std::move(asts),
-        cutoff != nullptr ? std::span<const Range>(cutoff->seeds)
-                          : std::span<const Range>(),
-        options_.max_edges);
-
-    if (!plan.over_budget) {
-      if (cutoff != nullptr) {
-        return ExecuteCellCutoff(plan, sheet, evaluator, *cutoff, width);
-      }
-      std::vector<std::unique_ptr<WorkerContext>> contexts;
-      std::vector<Value> values(n);
-      WaitGroup group;
-      for (const std::vector<int>& wave : plan.waves) {
-        ++outcome.waves;
-        outcome.max_wave_cells =
-            std::max<uint64_t>(outcome.max_wave_cells, wave.size());
-        if (wave.size() < options_.min_parallel_wave) {
-          for (int idx : wave) evaluator->EvaluateCell(plan.nodes[idx]);
-          continue;
-        }
-        if (contexts.empty()) {
-          contexts = MakeContexts(width, sheet, evaluator);
-        }
-        // Strided assignment balances skewed per-cell costs (e.g. the
-        // growing SUM($A$1:Ar) of an FR column) across workers.
-        const int tasks = std::min<int>(width, static_cast<int>(wave.size()));
-        for (int c = 0; c < tasks; ++c) {
-          pool_->Submit(&group, [&, c, tasks] {
-            Evaluator& eval = contexts[c]->eval;
-            for (size_t pos = c; pos < wave.size();
-                 pos += static_cast<size_t>(tasks)) {
-              const int idx = wave[pos];
-              values[idx] = eval.EvaluateCell(plan.nodes[idx]);
-            }
-          });
-        }
-        auto barrier_start = SteadyNow();
-        group.Wait();
-        outcome.barrier_wait_ns += NsSince(barrier_start);
-        // Single-threaded commit: workers never touch the shared cache.
-        for (int idx : wave) {
-          evaluator->Prime(plan.nodes[idx], std::move(values[idx]));
-        }
-      }
-      // Cycle members and their downstream dependents, in serial order.
-      for (int idx : plan.leftover) evaluator->EvaluateCell(plan.nodes[idx]);
-      outcome.recalculated = n;
-      outcome.dirty_formulas = n;
-      return outcome;
-    }
-    // Edge budget blown: fall through to range-granular leveling.
-  }
-
-  // ----- Range-granular fallback -------------------------------------------
-  // Nodes are the disjoint dirty ranges; an R-tree over them turns each
-  // reference range into range-level edges. One range is one unit of
-  // work (its formulas evaluate in enumeration order within a task).
-  // Under cutoff a RANGE is also the pruning unit: it skips only when
-  // every formula cell in it has a captured prior and no seed input, and
-  // it re-marks dependent ranges when ANY of its cells commits changed.
+void RecalcScheduler::RunRangeWaves(const RangeWavePlan& plan,
+                                    std::span<const Range> dirty,
+                                    const Sheet& sheet, Evaluator* evaluator,
+                                    const CutoffContext* cutoff,
+                                    Outcome* outcome) const {
   const int m = static_cast<int>(dirty.size());
-  RTree index;
-  for (int j = 0; j < m; ++j) index.Insert(dirty[j], j);
+  const int width = this->width();
+  for (uint64_t formulas : plan.formulas) outcome->dirty_formulas += formulas;
 
-  std::vector<uint64_t> formulas(m, 0);
-  std::vector<std::vector<int>> adj(m);
-  std::vector<int> indeg(m, 0);
-  std::vector<char> needs_eval(m, 0);
-  std::unordered_set<uint64_t> edge_seen;
-  std::vector<A1Reference> refs;
-  for (int j = 0; j < m; ++j) {
-    for (const Cell& cell : EnumerateCells(dirty[j])) {
-      const CellContent* content = sheet.Get(cell);
-      if (content == nullptr || !content->IsFormula()) continue;
-      ++formulas[j];
-      if (cutoff != nullptr && needs_eval[j] == 0 &&
-          (CoversCell(cutoff->seeds, cell) ||
-           cutoff->prior.find(cell) == cutoff->prior.end())) {
-        needs_eval[j] = 1;
-      }
-      refs.clear();
-      ExtractReferences(*content->formula().ast, &refs);
-      for (const A1Reference& ref : refs) {
-        if (!ref.range.IsValid()) continue;
-        if (cutoff != nullptr && needs_eval[j] == 0) {
-          for (const Range& seed : cutoff->seeds) {
-            if (ref.range.Overlaps(seed)) {
-              needs_eval[j] = 1;
-              break;
-            }
-          }
+  // Cutoff: a RANGE is the pruning unit. It skips only when every
+  // formula cell in it has a captured prior and no seed input, and it
+  // re-marks dependent ranges when ANY of its cells commits changed.
+  std::vector<char> needs_eval;
+  if (cutoff != nullptr) {
+    needs_eval.assign(plan.forced.begin(), plan.forced.end());
+    for (int j = 0; j < m; ++j) {
+      for (const Cell& cell : EnumerateCells(dirty[j])) {
+        if (needs_eval[j]) break;
+        if (sheet.IsFormulaCell(cell) &&
+            cutoff->prior.find(cell) == cutoff->prior.end()) {
+          needs_eval[j] = 1;
         }
-        index.ForEachOverlap(ref.range, [&](const Range&, RTree::EntryId id) {
-          const int i = static_cast<int>(id);
-          // Intra-range dependencies are resolved by in-order evaluation
-          // inside the range's task, so self-edges don't schedule.
-          if (i == j) return;
-          uint64_t key = (static_cast<uint64_t>(i) << 32) |
-                         static_cast<uint32_t>(j);
-          if (!edge_seen.insert(key).second) return;
-          adj[i].push_back(j);
-          ++indeg[j];
-        });
       }
     }
   }
-  for (int j = 0; j < m; ++j) outcome.dirty_formulas += formulas[j];
-
-  std::vector<int> leftover;
-  std::vector<std::vector<int>> waves = BuildWaves(adj, &indeg, &leftover);
-
-  // Cutoff-aware serial evaluation of one range: evaluates in
-  // enumeration order like eval_serial_range, additionally reporting
-  // whether any cell's committed value differs from its prior.
-  auto eval_range_compare = [&](int j) {
-    bool changed = false;
-    for (const Cell& cell : EnumerateCells(dirty[j])) {
-      if (!sheet.IsFormulaCell(cell)) continue;
-      Value now = evaluator->EvaluateCell(cell);
-      ++outcome.recalculated;
-      auto it = cutoff->prior.find(cell);
-      if (it == cutoff->prior.end() || !(now == it->second)) changed = true;
-    }
-    return changed;
+  auto mark_dependents = [&](int j) {
+    for (int d : plan.adj[j]) needs_eval[d] = 1;
   };
 
   std::vector<std::unique_ptr<WorkerContext>> contexts;
   // Per-range results, committed after each wave's barrier.
-  std::vector<std::vector<std::pair<Cell, Value>>> results(m);
+  std::vector<std::vector<std::pair<Cell, Value>>> results;
   std::vector<int> eval_list;
   WaitGroup group;
-  for (const std::vector<int>& wave : waves) {
-    ++outcome.waves;
-    uint64_t wave_cells = 0;
-    for (int j : wave) wave_cells += formulas[j];
-    outcome.max_wave_cells = std::max(outcome.max_wave_cells, wave_cells);
-
-    uint64_t eval_cells = 0;
-    eval_list.clear();
+  for (const std::vector<int>& wave : plan.waves) {
+    std::span<const int> run(wave);
+    uint64_t run_cells = 0;
     if (cutoff != nullptr) {
       // Prune before dispatch (workers read the shared cache).
+      eval_list.clear();
       for (int j : wave) {
         if (needs_eval[j]) {
           eval_list.push_back(j);
-          eval_cells += formulas[j];
+          run_cells += plan.formulas[j];
           continue;
         }
         for (const Cell& cell : EnumerateCells(dirty[j])) {
           if (!sheet.IsFormulaCell(cell)) continue;
           evaluator->Prime(cell, cutoff->prior.at(cell));
-          ++outcome.cells_skipped_cutoff;
+          ++outcome->cells_skipped_cutoff;
         }
       }
+      run = eval_list;
     } else {
-      eval_list.assign(wave.begin(), wave.end());
-      eval_cells = wave_cells;
+      for (int j : wave) run_cells += plan.formulas[j];
     }
 
-    auto mark_dependents = [&](int j) {
-      for (int d : adj[j]) needs_eval[d] = 1;
-    };
-
-    if (eval_cells < options_.min_parallel_wave || eval_list.size() == 1 ||
-        pool_ == nullptr || width <= 1) {
-      for (int j : eval_list) {
-        if (cutoff != nullptr) {
-          if (eval_range_compare(j)) mark_dependents(j);
-        } else {
-          eval_serial_range(dirty[j]);
+    if (width <= 1 || run_cells < options_.min_parallel_wave ||
+        run.size() == 1) {
+      for (int j : run) {
+        if (cutoff == nullptr) {
+          outcome->recalculated += EvaluateRange(sheet, evaluator, dirty[j]);
+          continue;
         }
+        bool changed = false;
+        for (const Cell& cell : EnumerateCells(dirty[j])) {
+          if (!sheet.IsFormulaCell(cell)) continue;
+          changed |= ChangedFromPrior(*cutoff, cell,
+                                      evaluator->EvaluateCell(cell));
+          ++outcome->recalculated;
+        }
+        if (changed) mark_dependents(j);
       }
       continue;
     }
-    if (contexts.empty()) contexts = MakeContexts(width, sheet, evaluator);
-    const int tasks = std::min<int>(width, static_cast<int>(eval_list.size()));
+    if (contexts.empty()) {
+      contexts = MakeContexts(width, sheet, evaluator);
+      results.resize(m);
+    }
+    const int tasks = std::min<int>(width, static_cast<int>(run.size()));
     for (int c = 0; c < tasks; ++c) {
       pool_->Submit(&group, [&, c, tasks] {
         Evaluator& eval = contexts[c]->eval;
-        for (size_t pos = c; pos < eval_list.size();
+        for (size_t pos = c; pos < run.size();
              pos += static_cast<size_t>(tasks)) {
-          const int j = eval_list[pos];
+          const int j = run[pos];
           for (const Cell& cell : EnumerateCells(dirty[j])) {
             if (sheet.IsFormulaCell(cell)) {
               results[j].emplace_back(cell, eval.EvaluateCell(cell));
@@ -410,193 +455,24 @@ RecalcExecutor::Outcome RecalcScheduler::Execute(const Sheet& sheet,
     }
     auto barrier_start = SteadyNow();
     group.Wait();
-    outcome.barrier_wait_ns += NsSince(barrier_start);
-    for (int j : eval_list) {
+    outcome->barrier_wait_ns += NsSince(barrier_start);
+    for (int j : run) {
       bool changed = false;
       for (auto& [cell, value] : results[j]) {
-        if (cutoff != nullptr) {
-          auto it = cutoff->prior.find(cell);
-          if (it == cutoff->prior.end() || !(value == it->second)) {
-            changed = true;
-          }
-        }
+        if (cutoff != nullptr) changed |= ChangedFromPrior(*cutoff, cell, value);
         evaluator->Prime(cell, std::move(value));
-        ++outcome.recalculated;
+        ++outcome->recalculated;
       }
-      if (cutoff != nullptr && changed) mark_dependents(j);
+      if (changed) mark_dependents(j);
       results[j].clear();
       results[j].shrink_to_fit();
     }
   }
   // Mutually-referencing ranges (cross-range cycles), in serial order —
   // never pruned.
-  for (int j : leftover) eval_serial_range(dirty[j]);
-  return outcome;
-}
-
-RecalcPlan RecalcScheduler::Plan(const Sheet& sheet,
-                                 std::span<const Range> dirty,
-                                 std::span<const Range> seeds,
-                                 bool cutoff) const {
-  // IMPORTANT: every branch below replays the corresponding branch of
-  // Execute — same thresholds, same order.  Changing one side without
-  // the other breaks the EXPLAIN-matches-execution guarantee that
-  // explain_test.cc pins down.
-  RecalcPlan plan;
-  plan.cutoff = cutoff;
-  plan.dirty_ranges = dirty.size();
-  for (const Range& range : dirty) plan.dirty_area += range.Area();
-
-  const int width =
-      pool_ == nullptr
-          ? 1
-          : std::max(1, std::min(options_.threads, pool_->num_threads()));
-  plan.width = width;
-
-  // Mirrors Execute: the serial short-circuits only apply without
-  // cutoff (a cutoff pass builds waves regardless, evaluating them
-  // inline when the width or set size wouldn't pay for dispatch).
-  if (!cutoff) {
-    if (width <= 1) {
-      plan.decision = Decision("width(%" PRIu64 ")<=1 no_pool(%" PRIu64 ")",
-                               static_cast<uint64_t>(width),
-                               static_cast<uint64_t>(pool_ == nullptr ? 1
-                                                                      : 0));
-      plan.dirty_formulas =
-          CountFormulasBounded(sheet, dirty, options_.max_cells);
-      return plan;
-    }
-    if (plan.dirty_area < options_.min_parallel_cells) {
-      plan.decision =
-          Decision("dirty_area(%" PRIu64 ")<min_parallel_cells(%" PRIu64 ")",
-                   plan.dirty_area, options_.min_parallel_cells);
-      plan.dirty_formulas =
-          CountFormulasBounded(sheet, dirty, options_.max_cells);
-      return plan;
-    }
+  for (int j : plan.leftover) {
+    outcome->recalculated += EvaluateRange(sheet, evaluator, dirty[j]);
   }
-
-  const bool cell_granular = plan.dirty_area <= options_.max_cells &&
-                             dirty.size() <= options_.max_ranges;
-  if (!cell_granular && dirty.size() > options_.max_ranges) {
-    plan.decision =
-        Decision("dirty_ranges(%" PRIu64 ")>max_ranges(%" PRIu64 ")",
-                 static_cast<uint64_t>(dirty.size()), options_.max_ranges);
-    plan.dirty_formulas =
-        CountFormulasBounded(sheet, dirty, options_.max_cells);
-    return plan;
-  }
-
-  if (cell_granular) {
-    std::vector<Cell> nodes;
-    std::vector<const Expr*> asts;
-    CollectDirtyFormulaCells(sheet, dirty, &nodes, &asts);
-    const int n = static_cast<int>(nodes.size());
-    plan.dirty_formulas = static_cast<uint64_t>(n);
-    if (!cutoff && static_cast<uint64_t>(n) < options_.min_parallel_cells) {
-      plan.decision =
-          Decision("dirty_formulas(%" PRIu64 ")<min_parallel_cells(%" PRIu64
-                   ")",
-                   static_cast<uint64_t>(n), options_.min_parallel_cells);
-      return plan;
-    }
-
-    CellWavePlan cells = BuildCellWavePlan(
-        std::move(nodes), std::move(asts),
-        cutoff ? seeds : std::span<const Range>(), options_.max_edges);
-    plan.edges = cells.edges;
-
-    if (!cells.over_budget) {
-      plan.granularity = RecalcPlan::Granularity::kCellGranular;
-      plan.decision = Decision("edges(%" PRIu64 ")<=max_edges(%" PRIu64 ")",
-                               cells.edges, options_.max_edges);
-      plan.wave_cells.reserve(cells.waves.size());
-      if (cutoff) plan.wave_cutoff_eligible.reserve(cells.waves.size());
-      for (const std::vector<int>& wave : cells.waves) {
-        plan.wave_cells.push_back(wave.size());
-        if (cutoff) {
-          // Upper bound: nodes with no direct seed input MAY skip when
-          // their dirty precedents all commit unchanged (and a prior
-          // value is cached — unknowable in a dry run).
-          uint64_t eligible = 0;
-          for (int idx : wave) {
-            if (cells.forced[idx] == 0) ++eligible;
-          }
-          plan.wave_cutoff_eligible.push_back(eligible);
-        }
-      }
-      plan.cycle_cells = cells.leftover.size();
-      return plan;
-    }
-    plan.decision = Decision("edges(%" PRIu64 ")>max_edges(%" PRIu64 ")",
-                             cells.edges, options_.max_edges);
-  } else {
-    plan.decision = Decision("dirty_area(%" PRIu64 ")>max_cells(%" PRIu64 ")",
-                             plan.dirty_area, options_.max_cells);
-  }
-
-  // Range-granular: mirror Execute's R-tree edge discovery.
-  plan.granularity = RecalcPlan::Granularity::kRangeGranular;
-  const int m = static_cast<int>(dirty.size());
-  RTree index;
-  for (int j = 0; j < m; ++j) index.Insert(dirty[j], j);
-
-  std::vector<uint64_t> formulas(m, 0);
-  std::vector<std::vector<int>> adj(m);
-  std::vector<int> indeg(m, 0);
-  std::vector<char> forced(m, 0);
-  std::unordered_set<uint64_t> edge_seen;
-  std::vector<A1Reference> refs;
-  for (int j = 0; j < m; ++j) {
-    for (const Cell& cell : EnumerateCells(dirty[j])) {
-      const CellContent* content = sheet.Get(cell);
-      if (content == nullptr || !content->IsFormula()) continue;
-      ++formulas[j];
-      if (cutoff && forced[j] == 0 && CoversCell(seeds, cell)) forced[j] = 1;
-      refs.clear();
-      ExtractReferences(*content->formula().ast, &refs);
-      for (const A1Reference& ref : refs) {
-        if (!ref.range.IsValid()) continue;
-        if (cutoff && forced[j] == 0) {
-          for (const Range& seed : seeds) {
-            if (ref.range.Overlaps(seed)) {
-              forced[j] = 1;
-              break;
-            }
-          }
-        }
-        index.ForEachOverlap(ref.range, [&](const Range&, RTree::EntryId id) {
-          const int i = static_cast<int>(id);
-          if (i == j) return;
-          uint64_t key = (static_cast<uint64_t>(i) << 32) |
-                         static_cast<uint32_t>(j);
-          if (!edge_seen.insert(key).second) return;
-          adj[i].push_back(j);
-          ++indeg[j];
-        });
-      }
-    }
-  }
-  plan.dirty_formulas = 0;
-  for (int j = 0; j < m; ++j) plan.dirty_formulas += formulas[j];
-  plan.edges = edge_seen.size();
-
-  std::vector<int> leftover;
-  std::vector<std::vector<int>> waves = BuildWaves(adj, &indeg, &leftover);
-  plan.wave_cells.reserve(waves.size());
-  if (cutoff) plan.wave_cutoff_eligible.reserve(waves.size());
-  for (const std::vector<int>& wave : waves) {
-    uint64_t wave_cells = 0;
-    uint64_t eligible = 0;
-    for (int j : wave) {
-      wave_cells += formulas[j];
-      if (forced[j] == 0) eligible += formulas[j];
-    }
-    plan.wave_cells.push_back(wave_cells);
-    if (cutoff) plan.wave_cutoff_eligible.push_back(eligible);
-  }
-  for (int j : leftover) plan.cycle_cells += formulas[j];
-  return plan;
 }
 
 }  // namespace taco

@@ -129,8 +129,6 @@ std::string SessionStatsReport(const SessionStats& stats) {
   out += " recalc_passes=" + std::to_string(stats.recalc_passes);
   out += " dirty_cells=" + std::to_string(stats.dirty_cells);
   out += " unsaved=" + std::to_string(stats.dirty ? 1 : 0);
-  out += std::string(" recalc_mode=") +
-         (stats.recalc_mode == RecalcMode::kParallel ? "parallel" : "serial");
   out += " waves=" + std::to_string(stats.waves);
   out += " max_wave_cells=" + std::to_string(stats.max_wave_cells);
   out += std::string(" cutoff=") + (stats.cutoff ? "on" : "off");
@@ -403,40 +401,26 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
            service_->metrics().Report() + "END";
   }
   if (EqualsIgnoreCase(cmd, "RECALC")) {
-    constexpr const char* kRecalcUsage =
-        "RECALC <session> [serial|parallel] [cutoff on|off]";
+    constexpr const char* kRecalcUsage = "RECALC <session> [cutoff on|off]";
     std::string_view name = NextToken(&rest);
     if (name.empty()) return ErrUsage(kRecalcUsage);
     auto session = service_->Get(std::string(name));
     if (!session.ok()) return ErrLine(session.status());
-    // Options parse left to right; the mode switch and the cutoff toggle
-    // compose in one command ("RECALC s parallel cutoff on").
-    for (std::string_view token = NextToken(&rest); !token.empty();
-         token = NextToken(&rest)) {
-      if (EqualsIgnoreCase(token, "serial") ||
-          EqualsIgnoreCase(token, "parallel")) {
-        Status status = (*session)->SetRecalcMode(
-            EqualsIgnoreCase(token, "serial") ? RecalcMode::kSerial
-                                              : RecalcMode::kParallel);
-        if (!status.ok()) return ErrLine(status);
-        continue;
+    std::string_view token = NextToken(&rest);
+    if (!token.empty()) {
+      std::string_view state = NextToken(&rest);
+      if (!EqualsIgnoreCase(token, "cutoff") || !NextToken(&rest).empty()) {
+        return ErrUsage(kRecalcUsage);
       }
-      if (EqualsIgnoreCase(token, "cutoff")) {
-        std::string_view state = NextToken(&rest);
-        if (EqualsIgnoreCase(state, "on")) {
-          (*session)->SetCutoff(true);
-        } else if (EqualsIgnoreCase(state, "off")) {
-          (*session)->SetCutoff(false);
-        } else {
-          return ErrUsage(kRecalcUsage);
-        }
-        continue;
+      if (EqualsIgnoreCase(state, "on")) {
+        (*session)->SetCutoff(true);
+      } else if (EqualsIgnoreCase(state, "off")) {
+        (*session)->SetCutoff(false);
+      } else {
+        return ErrUsage(kRecalcUsage);
       }
-      return ErrUsage(kRecalcUsage);
     }
-    bool parallel = (*session)->recalc_mode() == RecalcMode::kParallel;
     return "OK recalc " + std::string(name) +
-           " mode=" + (parallel ? "parallel" : "serial") +
            " threads=" + std::to_string(service_->recalc_threads()) +
            " cutoff=" + ((*session)->cutoff() ? "on" : "off");
   }
@@ -473,12 +457,11 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
   }
   if (EqualsIgnoreCase(cmd, "EXPLAIN")) {
     // The dry run: what a mutation of <cell-or-range> WOULD dirty and
-    // how the active recalc path would schedule it — closure size,
-    // per-wave cell counts, the serial-vs-parallel decision and the
-    // threshold that made it — committing nothing. The plan is produced
-    // by the same code paths a real mutation would take (FindDependents
-    // + the scheduler's decision tree), so it matches execution
-    // wave-for-wave.
+    // how the scheduler would run it — closure size, per-wave cell
+    // counts, the granularity decision and the threshold that made it —
+    // committing nothing. The plan is produced by the same code a real
+    // mutation runs (FindDependents + the scheduler's one planner), so
+    // it matches execution wave-for-wave.
     std::string_view name = NextToken(&rest);
     std::string_view range_text = NextToken(&rest);
     if (name.empty() || range_text.empty()) {
@@ -494,7 +477,7 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
     std::string out = "OK explain session=" + std::string(name) +
                       " target=" + ref->range.ToString() +
                       std::string(" mode=") +
-                      (info.parallel_active ? "parallel" : "serial") +
+                      (plan.width > 1 ? "parallel" : "serial") +
                       " seeds=" + std::to_string(info.seeds.size()) +
                       " dirty_ranges=" + std::to_string(info.dirty.size()) +
                       " dirty_cells=" + std::to_string(info.dirty_cells) +

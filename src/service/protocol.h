@@ -23,7 +23,7 @@
 //   CLEAR <session> <range>
 //   BATCH <session> <n>               header; then n lines of
 //     SET <cell> <value> | FORMULA <cell> <src> | CLEAR <range>
-//   RECALC <session> [serial|parallel]  query / switch the recalc path
+//   RECALC <session> [cutoff on|off]  query / toggle value-change cutoff
 //   EXPLAIN <session> <cell-or-range> -> OK explain ..., then the dry-run
 //                                        recalc plan (PLAN / WAVE / EST
 //                                        lines), then END — commits

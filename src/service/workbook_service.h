@@ -45,9 +45,8 @@ struct WorkbookServiceOptions {
   size_t max_resident_sessions = 64; ///< LRU bound; 0 = unbounded.
   std::string default_backend = "taco";  ///< Graph for OPEN without one.
 
-  /// Width of the shared parallel-recalc pool. 0 disables the wave
-  /// scheduler entirely: sessions recalc serially and RECALC <s>
-  /// parallel is rejected. When > 0, sessions start in parallel mode.
+  /// Width of the shared parallel-recalc pool. 0 means no pool: every
+  /// session recalcs through its engine's own scheduler at width 1.
   int recalc_threads = 0;
 
   /// Wave-scheduler tuning (budgets, inline thresholds); `threads` is
@@ -174,7 +173,7 @@ class WorkbookService {
   /// maps to a distinct file inside wal_dir.
   std::string WalPathFor(const std::string& name) const;
 
-  /// The shared wave executor (null when recalc_threads == 0).
+  /// The shared wave scheduler (null when recalc_threads == 0).
   RecalcScheduler* recalc_scheduler() { return recalc_scheduler_.get(); }
   int recalc_threads() const {
     return recalc_pool_ ? recalc_pool_->num_threads() : 0;
@@ -281,8 +280,8 @@ class WorkbookService {
   ServiceMetrics metrics_;
   std::unique_ptr<StorageEngine> storage_;
 
-  /// Dedicated executor for intra-session parallel recalc, shared by all
-  /// sessions (the scheduler holds no per-pass state).
+  /// Dedicated pool and scheduler for intra-session parallel recalc,
+  /// shared by all sessions (the scheduler holds no per-pass state).
   std::unique_ptr<ThreadPool> recalc_pool_;
   std::unique_ptr<RecalcScheduler> recalc_scheduler_;
 };

@@ -325,28 +325,9 @@ RecalcEngine::ExplainInfo WorkbookSession::Explain(const Range& target) {
   return engine_.Explain(target);
 }
 
-void WorkbookSession::EnableParallelRecalc(RecalcExecutor* executor) {
+void WorkbookSession::EnableParallelRecalc(RecalcScheduler* scheduler) {
   std::lock_guard<std::mutex> lock(mu_);
-  executor_ = executor;
-  engine_.set_executor(executor);
-  if (executor != nullptr) engine_.set_mode(RecalcMode::kParallel);
-}
-
-Status WorkbookSession::SetRecalcMode(RecalcMode mode) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (mode == RecalcMode::kParallel && executor_ == nullptr) {
-    return Status::InvalidArgument(
-        "session '" + name_ +
-        "' has no recalc executor (service started without recalc "
-        "threads); parallel mode is unavailable");
-  }
-  engine_.set_mode(mode);
-  return Status::OK();
-}
-
-RecalcMode WorkbookSession::recalc_mode() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return engine_.mode();
+  engine_.set_scheduler(scheduler);
 }
 
 void WorkbookSession::SetCutoff(bool enabled) {
@@ -572,7 +553,6 @@ SessionStats WorkbookSession::Stats() const {
   stats.recalc_passes = recalc_passes_;
   stats.dirty_cells = dirty_cells_;
   stats.dirty = dirty_;
-  stats.recalc_mode = engine_.mode();
   stats.waves = waves_;
   stats.max_wave_cells = max_wave_cells_;
   stats.cutoff = engine_.cutoff();

@@ -52,7 +52,6 @@ struct SessionStats {
   uint64_t recalc_passes = 0;
   uint64_t dirty_cells = 0;   ///< Cumulative dirty-set size.
   bool dirty = false;         ///< Unsaved changes since load/save.
-  RecalcMode recalc_mode = RecalcMode::kSerial;
   uint64_t waves = 0;           ///< Cumulative scheduler waves executed.
   uint64_t max_wave_cells = 0;  ///< Largest wave any recalc produced.
   bool cutoff = false;          ///< Value-change cutoff enabled.
@@ -121,22 +120,16 @@ class WorkbookSession {
   /// The caller bounds the range area; this enumerates every cell of it.
   RangeSnapshot GetRange(const Range& range);
 
-  /// Plugs in the service's shared wave executor and switches the engine
-  /// to parallel recalc. `executor` must outlive the session (the
-  /// service owns both). Called by the service before the session is
-  /// published; safe to call on a live session too (takes the lock).
-  void EnableParallelRecalc(RecalcExecutor* executor);
-
-  /// Switches the recalc path. Parallel mode requires an executor
-  /// (EnableParallelRecalc / a service configured with recalc threads);
-  /// without one this fails with FailedPrecondition-like InvalidArgument
-  /// rather than silently staying serial.
-  Status SetRecalcMode(RecalcMode mode);
-  RecalcMode recalc_mode() const;
+  /// Plugs in the service's shared wave scheduler (null unplugs it: the
+  /// engine's own pool-less scheduler runs at width 1). `scheduler` must
+  /// outlive the session (the service owns both). Called by the service
+  /// before the session is published; safe to call on a live session
+  /// too (takes the lock).
+  void EnableParallelRecalc(RecalcScheduler* scheduler);
 
   /// Toggles value-change cutoff recalculation (default off; see
-  /// eval/cutoff.h). Works in both serial and parallel modes and keeps
-  /// results cell-for-cell identical to full recalc.
+  /// eval/cutoff.h). Works at any recalc width and keeps results
+  /// cell-for-cell identical to full recalc.
   void SetCutoff(bool enabled);
   bool cutoff() const;
 
@@ -243,7 +236,6 @@ class WorkbookSession {
   Sheet sheet_;
   std::unique_ptr<DependencyGraph> graph_;
   RecalcEngine engine_;
-  RecalcExecutor* executor_ = nullptr;  ///< Shared; owned by the service.
   StorageEngine* storage_ = nullptr;    ///< Shared; owned by the service.
   std::unique_ptr<WriteAheadLog> wal_;  ///< Open log; null until first use.
   std::string wal_path_;                ///< Armed path; empty = disabled.

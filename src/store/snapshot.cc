@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "formula/parser.h"
 #include "store/bytes.h"
 #include "store/checksum.h"
 
@@ -37,9 +38,6 @@ constexpr uint8_t kTagNumber = 0;
 constexpr uint8_t kTagText = 1;
 constexpr uint8_t kTagBoolean = 2;
 constexpr uint8_t kTagFormula = 3;
-
-// Decoding a hostile-but-CRC-valid AST must not overflow the stack.
-constexpr int kMaxAstDepth = 256;
 
 Status Corrupt(std::string_view detail) {
   return Status::DataLoss("binary snapshot: " + std::string(detail));
@@ -145,11 +143,20 @@ bool HostInvariant(const Expr& expr) {
   return false;
 }
 
+// `depth` counts the operator and call nodes above this one. Each wraps
+// its operands one level deeper, the parser's measure (formula/parser.h):
+// every formula the parser accepts reloads, and a hostile-but-CRC-valid
+// AST cannot nest deep enough to overflow the stack.
 Result<ExprPtr> DecodeExpr(ByteReader* r, const Cell& host, int depth) {
-  if (depth > kMaxAstDepth) return Corrupt("formula AST nests too deeply");
   uint8_t kind_byte;
   if (!r->U8(&kind_byte)) return Corrupt("truncated formula AST");
-  switch (static_cast<ExprKind>(kind_byte)) {
+  const auto kind = static_cast<ExprKind>(kind_byte);
+  if ((kind == ExprKind::kUnary || kind == ExprKind::kBinary ||
+       kind == ExprKind::kCall) &&
+      depth >= kMaxFormulaDepth) {
+    return Corrupt("formula AST nests too deeply");
+  }
+  switch (kind) {
     case ExprKind::kNumber: {
       double value;
       if (!r->F64(&value)) return Corrupt("truncated number literal");

@@ -5,8 +5,11 @@
 // Execute on the same sheet + dirty set wave-for-wave" — so every suite
 // here explains an edit first and then performs it, asserting the plan
 // predicted the pass the engine actually ran.
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,12 +30,9 @@ std::unique_ptr<DependencyGraph> MakeGraph(bool taco) {
 
 /// Sheet + graph + engine, optionally wired to a wave scheduler.
 struct Rig {
-  Rig(bool taco, RecalcExecutor* executor)
+  Rig(bool taco, RecalcScheduler* scheduler)
       : graph(MakeGraph(taco)), engine(&sheet, graph.get()) {
-    if (executor != nullptr) {
-      engine.set_executor(executor);
-      engine.set_mode(RecalcMode::kParallel);
-    }
+    engine.set_scheduler(scheduler);
   }
   Sheet sheet;
   std::unique_ptr<DependencyGraph> graph;
@@ -65,7 +65,7 @@ TEST_P(ExplainTest, FanOutPlansOneWaveAndExecutionAgrees) {
   ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
 
   RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_TRUE(info.parallel_active);
+  EXPECT_EQ(info.plan.width, 3);
   EXPECT_EQ(info.seeds.size(), 1u);
   EXPECT_EQ(info.dirty_cells, static_cast<uint64_t>(kRows));
   EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kCellGranular);
@@ -225,6 +225,69 @@ TEST_P(ExplainTest, EdgeBudgetFallbackPlansRangeGranular) {
   EXPECT_EQ(result->max_wave_cells, info.plan.max_wave_cells());
 }
 
+TEST_P(ExplainTest, FragmentedDirtySetsSkipRangeLevelingButStillCut) {
+  // B1 absorbs A1, then B3, B5, ... chain off it: every dirty formula is
+  // its own disjoint range, more of them than max_ranges allows.
+  constexpr int kLinks = 6;
+  auto build = [](RecalcEngine* engine) {
+    EditBatch setup;
+    setup.push_back(Edit::SetNumber(Cell{1, 1}, 10.0));
+    setup.push_back(Edit::SetFormula(Cell{2, 1}, "IF(A1>100,1,0)"));
+    for (int i = 1; i < kLinks; ++i) {
+      setup.push_back(Edit::SetFormula(
+          Cell{2, 2 * i + 1}, "B" + std::to_string(2 * i - 1) + "+1"));
+    }
+    ASSERT_TRUE(engine->ApplyBatch(setup).ok());
+    for (int i = 0; i < kLinks; ++i) engine->GetValue(Cell{2, 2 * i + 1});
+  };
+  ThreadPool pool(3);
+  SchedulerOptions options = EagerOptions();
+  options.max_ranges = 2;
+  RecalcScheduler scheduler(&pool, options);
+  Rig rig(GetParam(), &scheduler);
+  build(&rig.engine);
+
+  // Without cutoff the pass skips planning.
+  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
+  ASSERT_GT(info.dirty.size(), options.max_ranges);
+  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
+  EXPECT_NE(info.plan.decision.find("max_ranges"), std::string::npos)
+      << info.plan.decision;
+  auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->waves, 0u);
+  EXPECT_EQ(result->recalculated, static_cast<uint64_t>(kLinks));
+
+  // With cutoff, cell-granular waves don't depend on the range count.
+  rig.engine.set_cutoff(true);
+  info = rig.engine.Explain(Range(1, 1, 1, 1));
+  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kCellGranular);
+  EXPECT_EQ(info.plan.waves(), static_cast<uint64_t>(kLinks));
+  result = rig.engine.SetNumber(Cell{1, 1}, 30.0);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->waves, info.plan.waves());
+  EXPECT_EQ(result->recalculated, 1u);
+  EXPECT_EQ(result->cells_skipped_cutoff, static_cast<uint64_t>(kLinks - 1));
+
+  // Past the edge budget only range leveling is left, which fragmentation
+  // rules out: serial-inline, uncut.
+  options.max_edges = 1;
+  RecalcScheduler tight(&pool, options);
+  Rig tight_rig(GetParam(), &tight);
+  build(&tight_rig.engine);
+  tight_rig.engine.set_cutoff(true);
+  info = tight_rig.engine.Explain(Range(1, 1, 1, 1));
+  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
+  EXPECT_NE(info.plan.decision.find("max_ranges"), std::string::npos)
+      << info.plan.decision;
+  result = tight_rig.engine.SetNumber(Cell{1, 1}, 20.0);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->waves, 0u);
+  EXPECT_EQ(result->cells_skipped_cutoff, 0u);
+  EXPECT_EQ(tight_rig.engine.GetValue(Cell{2, 2 * kLinks - 1}),
+            rig.engine.GetValue(Cell{2, 2 * kLinks - 1}));
+}
+
 TEST_P(ExplainTest, CutoffPlansPerWaveEligibilityAndExecutionPrunes) {
   ThreadPool pool(3);
   RecalcScheduler scheduler(&pool, EagerOptions());
@@ -291,41 +354,6 @@ TEST_P(ExplainTest, CutoffPlansPerWaveEligibilityAndExecutionPrunes) {
   EXPECT_TRUE(info.plan.wave_cutoff_eligible.empty());
 }
 
-TEST_P(ExplainTest, SerialEngineCutoffPlansInlineAndStillPrunes) {
-  // No executor: the engine's own wave-free cutoff path. The plan is
-  // serial-inline (no wave rows to fill) but still carries the flag.
-  Rig rig(GetParam(), nullptr);
-  rig.engine.set_cutoff(true);
-
-  constexpr int kLinks = 5;
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 10.0).ok());
-  EditBatch setup;
-  setup.push_back(Edit::SetFormula(Cell{2, 1}, "IF(A1>100,1,0)"));
-  for (int r = 2; r <= kLinks; ++r) {
-    setup.push_back(
-        Edit::SetFormula(Cell{2, r}, "B" + std::to_string(r - 1) + "+1"));
-  }
-  ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
-
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_FALSE(info.parallel_active);
-  EXPECT_TRUE(info.cutoff);
-  EXPECT_TRUE(info.plan.cutoff);
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  EXPECT_TRUE(info.plan.wave_cutoff_eligible.empty());
-  EXPECT_EQ(info.plan.dirty_formulas, static_cast<uint64_t>(kLinks));
-
-  auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, 0u);  // no parallel waves were dispatched
-  EXPECT_EQ(result->recalculated, 1u);
-  EXPECT_EQ(result->cells_skipped_cutoff, static_cast<uint64_t>(kLinks - 1));
-  EXPECT_EQ(result->recalculated + result->cells_skipped_cutoff,
-            result->dirty_formulas);
-  EXPECT_EQ(rig.engine.GetValue(Cell{2, kLinks}),
-            Value::Number(kLinks - 1.0));
-}
-
 TEST_P(ExplainTest, ExplainIsSideEffectFreeAndRepeatable) {
   ThreadPool pool(3);
   RecalcScheduler scheduler(&pool, EagerOptions());
@@ -355,29 +383,127 @@ TEST_P(ExplainTest, ExplainIsSideEffectFreeAndRepeatable) {
   EXPECT_EQ(version_after, version_before);
 }
 
-TEST_P(ExplainTest, SerialEnginesReportSerialInlinePlans) {
-  // No executor at all.
+TEST_P(ExplainTest, NoPoolPlansSerialInlineAtWidthOne) {
+  // No scheduler plugged: the engine's own pool-less one plans the pass.
   Rig bare(GetParam(), nullptr);
   ASSERT_TRUE(bare.engine.SetNumber(Cell{1, 1}, 1.0).ok());
   ASSERT_TRUE(bare.engine.SetFormula(Cell{2, 1}, "A1*2").ok());
   RecalcEngine::ExplainInfo info = bare.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_FALSE(info.parallel_active);
-  EXPECT_EQ(info.mode, RecalcMode::kSerial);
+  EXPECT_EQ(info.plan.width, 1);
   EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  EXPECT_EQ(info.plan.decision, "no_executor");
+  EXPECT_EQ(info.plan.decision, "width(1)<=1 no_pool(1)");
   EXPECT_EQ(info.plan.dirty_formulas, 1u);
 
-  // Executor plugged but mode switched back to serial: still inline.
-  ThreadPool pool(2);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
-  rig.engine.set_mode(RecalcMode::kSerial);
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 1.0).ok());
-  ASSERT_TRUE(rig.engine.SetFormula(Cell{2, 1}, "A1*2").ok());
-  info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_FALSE(info.parallel_active);
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  EXPECT_EQ(info.plan.decision, "mode=serial");
+  auto result = bare.engine.SetNumber(Cell{1, 1}, 2.0);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->waves, 0u);
+  EXPECT_EQ(result->recalculated, 1u);
+}
+
+// The dirty-subgraph shapes of the width matrix below. Each has more
+// than SchedulerOptions' default min_parallel_cells formulas, so the
+// 2-thread rows build waves without cutoff too.
+enum class Shape { kChain, kFanOut, kMixed };
+
+/// Sets up `shape` off A1 = 10 and warms every formula (a cell without a
+/// cached prior can never be ruled unchanged by cutoff).
+void BuildShape(Shape shape, RecalcEngine* engine) {
+  constexpr int kRows = 80;
+  EditBatch setup;
+  setup.push_back(Edit::SetNumber(Cell{1, 1}, 10.0));
+  for (int r = 1; r <= kRows; ++r) {
+    const std::string row = std::to_string(r);
+    const std::string prev = std::to_string(r - 1);
+    switch (shape) {
+      case Shape::kChain:
+        setup.push_back(
+            Edit::SetFormula(Cell{2, r}, r == 1 ? "A1+1" : "B" + prev + "+1"));
+        break;
+      case Shape::kFanOut:
+        setup.push_back(Edit::SetFormula(Cell{2, r}, "$A$1*" + row));
+        break;
+      case Shape::kMixed:
+        // An absorber heading a short chain, a fan-out column, and a
+        // column joining both: waves of mixed width, some prunable.
+        if (r == 1) {
+          setup.push_back(Edit::SetFormula(Cell{2, 1}, "IF(A1>1000,1,0)"));
+        } else if (r <= 10) {
+          setup.push_back(Edit::SetFormula(Cell{2, r}, "B" + prev + "+1"));
+        }
+        setup.push_back(Edit::SetFormula(Cell{3, r}, "$A$1+" + row));
+        setup.push_back(
+            Edit::SetFormula(Cell{4, r}, "C" + row + "+$B$" +
+                                             std::to_string(r % 10 + 1)));
+        break;
+    }
+  }
+  ASSERT_TRUE(engine->ApplyBatch(setup).ok());
+  for (const Cell& cell : EnumerateCells(Range(2, 1, 4, kRows))) {
+    engine->GetValue(cell);
+  }
+}
+
+TEST_P(ExplainTest, NoPoolAndOneThreadPoolAreOnePath) {
+  struct Row {
+    uint64_t recalculated, skipped, dirty_formulas, waves;
+  };
+  const std::pair<Shape, const char*> shapes[] = {
+      {Shape::kChain, "chain"}, {Shape::kFanOut, "fan-out"},
+      {Shape::kMixed, "mixed"}};
+  for (const auto& [shape, shape_name] : shapes) {
+    for (bool cutoff : {false, true}) {
+      std::vector<Row> rows;
+      for (int threads : {0, 1, 2}) {
+        SCOPED_TRACE(std::string(shape_name) + " cutoff=" +
+                     (cutoff ? "on" : "off") +
+                     " threads=" + std::to_string(threads));
+        std::unique_ptr<ThreadPool> pool;
+        std::unique_ptr<RecalcScheduler> scheduler;
+        if (threads > 0) {
+          pool = std::make_unique<ThreadPool>(threads);
+          SchedulerOptions options;
+          options.threads = threads;
+          scheduler = std::make_unique<RecalcScheduler>(pool.get(), options);
+        }
+        Rig rig(GetParam(), scheduler.get());
+        BuildShape(shape, &rig.engine);
+        rig.engine.set_cutoff(cutoff);
+
+        RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
+        EXPECT_EQ(info.plan.width, std::max(threads, 1));
+        // Only a cutoff-free pass at width 1 skips planning.
+        EXPECT_EQ(info.plan.granularity,
+                  !cutoff && threads < 2
+                      ? RecalcPlan::Granularity::kSerialInline
+                      : RecalcPlan::Granularity::kCellGranular)
+            << info.plan.decision;
+
+        // An edit the absorber swallows, so cutoff has something to prune.
+        auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
+        ASSERT_TRUE(result.ok());
+        EXPECT_EQ(result->waves, info.plan.waves());
+        EXPECT_EQ(result->max_wave_cells, info.plan.max_wave_cells());
+        EXPECT_EQ(result->dirty_formulas, info.plan.dirty_formulas);
+        EXPECT_EQ(result->recalculated + result->cells_skipped_cutoff,
+                  result->dirty_formulas);
+        if (!cutoff || shape != Shape::kMixed) {
+          EXPECT_EQ(result->cells_skipped_cutoff, 0u);
+        } else {
+          EXPECT_GT(result->cells_skipped_cutoff, 0u);
+        }
+        rows.push_back({result->recalculated, result->cells_skipped_cutoff,
+                        result->dirty_formulas, result->waves});
+      }
+      // No pool and a 1-thread pool run the same width-1 pass.
+      SCOPED_TRACE(std::string(shape_name) +
+                   " cutoff=" + (cutoff ? "on" : "off"));
+      ASSERT_EQ(rows.size(), 3u);
+      EXPECT_EQ(rows[0].recalculated, rows[1].recalculated);
+      EXPECT_EQ(rows[0].skipped, rows[1].skipped);
+      EXPECT_EQ(rows[0].dirty_formulas, rows[1].dirty_formulas);
+      EXPECT_EQ(rows[0].waves, rows[1].waves);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Graphs, ExplainTest, ::testing::Bool(),

@@ -1,12 +1,14 @@
 // Tests for the formula lexer, parser, printer, reference extraction, and
 // the autofill shift transform.
 
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eval/recalc.h"
+#include "graph_test_util.h"
 #include "formula/lexer.h"
 #include "formula/parser.h"
 #include "formula/references.h"
@@ -179,42 +181,15 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseFormula("A1:5").ok());
 }
 
-// Four shapes that each reach `depth` levels in their own way: a binary
-// chain, unary signs, the right-recursive '^', and nested calls. Exactly
-// kMaxFormulaDepth parses AND evaluates; one more is a ParseError, never
-// a stack overflow.
+// Each deep shape at exactly kMaxFormulaDepth parses AND evaluates; one
+// more is a ParseError, never a stack overflow.
 TEST(ParserTest, NestingDepthIsBoundedForEveryShape) {
-  struct Shape {
-    const char* name;
-    std::string (*build)(int depth);
-    double value_at_bound;
-  };
-  const Shape shapes[] = {
-      {"1+1+...",
-       [](int depth) {
-         std::string text = "1";
-         for (int i = 0; i < depth; ++i) text += "+1";
-         return text;
-       },
-       kMaxFormulaDepth + 1.0},
-      {"---1", [](int depth) { return std::string(depth, '-') + "1"; },
-       kMaxFormulaDepth % 2 == 0 ? 1.0 : -1.0},
-      {"1^1^...",
-       [](int depth) {
-         std::string text = "1";
-         for (int i = 0; i < depth; ++i) text += "^1";
-         return text;
-       },
-       1.0},
-      {"ABS(ABS(...))",
-       [](int depth) {
-         std::string text;
-         for (int i = 0; i < depth; ++i) text += "ABS(";
-         return text + "1" + std::string(depth, ')');
-       },
-       1.0},
-  };
-  for (const Shape& shape : shapes) {
+  // Values at the bound, in kDeepFormulaShapes order.
+  const double values_at_bound[] = {
+      kMaxFormulaDepth + 1.0, kMaxFormulaDepth % 2 == 0 ? 1.0 : -1.0, 1.0,
+      1.0};
+  for (size_t i = 0; i < std::size(test::kDeepFormulaShapes); ++i) {
+    const test::DeepFormulaShape& shape = test::kDeepFormulaShapes[i];
     SCOPED_TRACE(shape.name);
     std::string at_bound = shape.build(kMaxFormulaDepth);
     ASSERT_TRUE(ParseFormula(at_bound).ok());
@@ -222,7 +197,7 @@ TEST(ParserTest, NestingDepthIsBoundedForEveryShape) {
     NoCompGraph graph;
     RecalcEngine engine(&sheet, &graph);
     ASSERT_TRUE(engine.SetFormula(Cell{1, 1}, at_bound).ok());
-    EXPECT_EQ(engine.GetValue(Cell{1, 1}), Value::Number(shape.value_at_bound));
+    EXPECT_EQ(engine.GetValue(Cell{1, 1}), Value::Number(values_at_bound[i]));
 
     auto over = ParseFormula(shape.build(kMaxFormulaDepth + 1));
     ASSERT_FALSE(over.ok());

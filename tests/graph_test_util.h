@@ -17,6 +17,7 @@
 #include <random>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,35 @@
 #include "taco/taco_graph.h"
 
 namespace taco::test {
+
+/// Four formula shapes that each nest exactly `depth` levels (the
+/// parser's measure, formula/parser.h) in their own way: a binary chain,
+/// unary signs, the right-recursive '^', and nested calls.
+struct DeepFormulaShape {
+  const char* name;
+  std::string (*build)(int depth);
+};
+inline const DeepFormulaShape kDeepFormulaShapes[] = {
+    {"1+1+...",
+     [](int depth) {
+       std::string text = "1";
+       for (int i = 0; i < depth; ++i) text += "+1";
+       return text;
+     }},
+    {"---1", [](int depth) { return std::string(depth, '-') + "1"; }},
+    {"1^1^...",
+     [](int depth) {
+       std::string text = "1";
+       for (int i = 0; i < depth; ++i) text += "^1";
+       return text;
+     }},
+    {"ABS(ABS(...))",
+     [](int depth) {
+       std::string text;
+       for (int i = 0; i < depth; ++i) text += "ABS(";
+       return text + "1" + std::string(depth, ')');
+     }},
+};
 
 /// TACO_FUZZ_TRIALS scaling shared by the randomized suites: tier-1
 /// runs use the bounded deterministic default; the knob is a multiplier

@@ -1,6 +1,7 @@
-// Parallel recalculation determinism: RecalcMode::kParallel driven by
-// the wave scheduler must produce sheets CELL-FOR-CELL identical to
-// kSerial — values, error cells, and #CYCLE! patterns included — with
+// Parallel recalculation determinism: an engine plugged into a pooled
+// wave scheduler must produce sheets CELL-FOR-CELL identical to one with
+// no pool (serial-inline evaluation in dirty-range enumeration order) —
+// values, error cells, and #CYCLE! patterns included — with
 // identical recalc_passes, across every planning granularity
 // (cell-granular Kahn waves, range-granular fallback, serial inline).
 // The randomized suites double as the TSan workload for the scheduler.
@@ -34,12 +35,9 @@ std::unique_ptr<DependencyGraph> MakeGraph(bool taco) {
 
 /// Sheet + graph + engine, optionally wired to a wave scheduler.
 struct Rig {
-  Rig(bool taco, RecalcExecutor* executor)
+  Rig(bool taco, RecalcScheduler* scheduler)
       : graph(MakeGraph(taco)), engine(&sheet, graph.get()) {
-    if (executor != nullptr) {
-      engine.set_executor(executor);
-      engine.set_mode(RecalcMode::kParallel);
-    }
+    engine.set_scheduler(scheduler);
   }
   Sheet sheet;
   std::unique_ptr<DependencyGraph> graph;
@@ -225,7 +223,7 @@ TEST_P(ParallelRecalcTest, TinyDirtySetsTakeTheSerialInlinePath) {
 
 // ---------------------------------------------------------------------------
 // Randomized differential workloads: identical random edit batches are
-// applied once in kSerial and once in kParallel; after every batch the
+// applied once without a pool and once pooled; after every batch the
 // rigs must agree cell-for-cell (errors and #CYCLE! included) and on
 // recalc_passes/recalculated. Formulas reference cells in any direction,
 // so cycles, diamonds, and error propagation occur organically.
@@ -353,12 +351,12 @@ INSTANTIATE_TEST_SUITE_P(Graphs, ParallelRecalcTest, ::testing::Bool(),
 // ---------------------------------------------------------------------------
 // Cutoff-vs-full differential: the same randomized workloads, but the
 // twin engines differ in the value-change cutoff flag instead of the
-// executor. Cutoff's contract is BY-CONSTRUCTION equality — every cell
+// pool. Cutoff's contract is BY-CONSTRUCTION equality — every cell
 // it prunes is provably unreachable from a changed value — so the rigs
 // must agree cell-for-cell (errors and #CYCLE! included) across every
 // DependencyGraph implementation, since each graph shapes dirty sets
 // (and thus wave plans and prune opportunities) differently. Also the
-// TSan workload for ExecuteCellCutoff's prime-then-dispatch ordering.
+// TSan workload for the cell-wave loop's prime-then-dispatch ordering.
 // ---------------------------------------------------------------------------
 
 /// The ten graph configurations of the differential suite
@@ -416,12 +414,10 @@ const CutoffGraphSpec kCutoffSpecs[] = {
 
 /// Sheet + graph + engine with an explicit cutoff flag.
 struct CutoffRig {
-  CutoffRig(const CutoffGraphSpec& spec, RecalcExecutor* executor, bool cutoff)
+  CutoffRig(const CutoffGraphSpec& spec, RecalcScheduler* scheduler,
+            bool cutoff)
       : graph(spec.make()), engine(&sheet, graph.get()) {
-    if (executor != nullptr) {
-      engine.set_executor(executor);
-      engine.set_mode(RecalcMode::kParallel);
-    }
+    engine.set_scheduler(scheduler);
     engine.set_cutoff(cutoff);
   }
   Sheet sheet;
@@ -437,9 +433,9 @@ void RunCutoffDifferential(const CutoffGraphSpec& spec,
                            uint32_t seed, int rounds) {
   ThreadPool pool(options.threads);
   RecalcScheduler scheduler(&pool, options);
-  RecalcExecutor* executor = parallel ? &scheduler : nullptr;
-  CutoffRig full(spec, executor, /*cutoff=*/false);
-  CutoffRig cut(spec, executor, /*cutoff=*/true);
+  RecalcScheduler* plugged = parallel ? &scheduler : nullptr;
+  CutoffRig full(spec, plugged, /*cutoff=*/false);
+  CutoffRig cut(spec, plugged, /*cutoff=*/true);
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> batch_size(1, 8);
 
@@ -507,7 +503,8 @@ TEST_P(CutoffDifferentialTest, RangeGranularFallbackMatchesFullRecalc) {
 }
 
 TEST_P(CutoffDifferentialTest, SerialEngineCutoffMatchesFullRecalc) {
-  SchedulerOptions options = EagerOptions();  // Unused: no executor.
+  // No scheduler plugged: the engine's own pool-less one runs it.
+  SchedulerOptions options = EagerOptions();  // Only sizes the unused pool.
   RunCutoffDifferential(*GetParam(), options, /*parallel=*/false, 83u, 25);
 }
 

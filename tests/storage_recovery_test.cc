@@ -579,6 +579,33 @@ TEST(StorageRecoveryMiscTest, LoadResetsAWalRecordedAgainstAnotherFile) {
   }
 }
 
+TEST(StorageRecoveryMiscTest, DeepFormulaSurvivesCheckpointAndRecovery) {
+  // 400 terms nest 399 levels: within the parser's bound but past the
+  // binary decoder's old one, so recovery from the checkpoint failed
+  // with DataLoss.
+  ScratchDir dir("taco_deep_checkpoint");
+  const std::string snap = dir.File("book.bsnap");
+  std::string formula = "1";
+  for (int i = 1; i < 400; ++i) formula += "+1";
+  {
+    WorkbookService service(StorageOptionsFor("binary", dir.File("wal")));
+    CommandProcessor processor(&service);
+    ASSERT_TRUE(processor.Execute("OPEN book").starts_with("OK"));
+    ASSERT_TRUE(processor.Execute("FORMULA book A1 " + formula)
+                    .starts_with("OK"));
+    ASSERT_EQ(processor.Execute("GET book A1"), "VALUE A1 400");
+    std::string checkpoint = processor.Execute("CHECKPOINT book " + snap);
+    ASSERT_TRUE(checkpoint.starts_with("OK")) << checkpoint;
+    ASSERT_TRUE(processor.Execute("SET book B1 7").starts_with("OK"));
+  }  // Crash.
+  WorkbookService service(StorageOptionsFor("binary", dir.File("wal")));
+  auto recovered = service.Open("book");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->GetValue(Cell{1, 1}), Value::Number(400));
+  EXPECT_EQ((*recovered)->GetValue(Cell{2, 1}), Value::Number(7));
+  EXPECT_EQ((*recovered)->Stats().recovered_records, 1u);
+}
+
 TEST(StorageRecoveryMiscTest, KillPointRecoveryKeepsTheNoCompBackend) {
   // The backend key must survive ANY kill point, not just a clean
   // shutdown: the WAL header is written atomically at creation, so even

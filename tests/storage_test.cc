@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "formula/parser.h"
 #include "graph_test_util.h"
 #include "sheet/textio.h"
 #include "store/bytes.h"
@@ -112,6 +113,38 @@ TEST(BinarySnapshotTest, SharedFormulasShareOneDecodedAst) {
     EXPECT_EQ(loaded->Get(Cell{1, r})->formula().ast.get(), first)
         << "identical formula texts should share one AST";
   }
+}
+
+TEST(BinarySnapshotTest, FormulasAtTheParserDepthBoundRoundTrip) {
+  // Anything the parser accepts must reload: a session saving such a
+  // formula would otherwise write a snapshot it cannot recover from.
+  for (const test::DeepFormulaShape& shape : test::kDeepFormulaShapes) {
+    SCOPED_TRACE(shape.name);
+    Sheet sheet;
+    ASSERT_TRUE(sheet.SetFormula(Cell{1, 1}, shape.build(kMaxFormulaDepth)).ok());
+    auto loaded = ReadSheetBinary(WriteSheetBinary(sheet));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(Canon(*loaded), Canon(sheet));
+  }
+
+  // One level deeper only a crafted AST can reach; decoding refuses it.
+  ExprPtr deep = std::make_unique<NumberExpr>(1.0);
+  for (int i = 0; i <= kMaxFormulaDepth; ++i) {
+    deep = std::make_unique<UnaryExpr>(UnaryOp::kNegate, std::move(deep));
+  }
+  Sheet sheet;
+  ASSERT_TRUE(sheet
+                  .SetFormulaCell(Cell{1, 1},
+                                  FormulaCell{std::string(kMaxFormulaDepth + 1,
+                                                          '-') + "1",
+                                              std::move(deep)})
+                  .ok());
+  auto loaded = ReadSheetBinary(WriteSheetBinary(sheet));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("nests too deeply"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(BinarySnapshotTest, RejectsForeignAndTruncatedInput) {
