@@ -203,30 +203,12 @@ int main() {
               FormatMs(wall_ms).c_str(),
               seconds > 0 ? double(total_commands) / seconds : 0.0, clients);
 
-  std::vector<std::pair<std::string, std::string>> labels = {
-      {"clients", std::to_string(clients)},
-      {"commands_per_client", std::to_string(commands)}};
   if (!wal_dir.empty()) {
-    labels.push_back({"wal", "on"});
-    labels.push_back(
-        {"group_commit", service_options.group_commit ? "on" : "off"});
     const WalGroupCounters& g = service.metrics().wal_group();
     std::printf("durable: wal_dir=%s group_commit=%s group_flushes=%llu\n",
                 wal_dir.c_str(),
                 service_options.group_commit ? "on" : "off",
                 static_cast<unsigned long long>(g.flushes.load()));
-  }
-  ReportJsonMetric("bench_net_throughput",
-                   {"commands_per_sec",
-                    seconds > 0 ? double(total_commands) / seconds : 0.0,
-                    "1/s", labels});
-  ReportJsonMetric("bench_net_throughput",
-                   {"errors", double(total_errors), "", labels});
-  for (double p : {50.0, 95.0, 99.0, 100.0}) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "rtt_p%.0f_ms", p);
-    ReportJsonMetric("bench_net_throughput",
-                     {name, Percentile(all_latency, p), "ms", labels});
   }
   if (logger != nullptr) {
     logger->Flush();
@@ -234,12 +216,6 @@ int main() {
                 static_cast<unsigned long long>(logger->events_logged()),
                 static_cast<unsigned long long>(logger->events_dropped()),
                 logger->path().c_str());
-    ReportJsonMetric("bench_net_throughput",
-                     {"log_events", double(logger->events_logged()), "",
-                      labels});
-    ReportJsonMetric("bench_net_throughput",
-                     {"log_dropped", double(logger->events_dropped()), "",
-                      labels});
   }
   return total_errors == 0 ? 0 : 1;
 }

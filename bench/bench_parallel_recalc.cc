@@ -30,8 +30,6 @@
 //   TACO_BENCH_RECALC_REPS           timed repetitions per mode
 //   TACO_BENCH_CUTOFF_DEPTH          absorber position in the cutoff
 //                                    chain profile (default: rows/8)
-//   TACO_BENCH_JSON                  JSON Lines sink for the cutoff
-//                                    counters and timings
 
 #include <algorithm>
 #include <cstdio>
@@ -349,23 +347,6 @@ int main() {
                          std::to_string(cut.skipped), ratio_str,
                          FormatMs(full.eval_ms), FormatMs(cut.eval_ms),
                          FormatMs(cut2.eval_ms)});
-
-    std::vector<std::pair<std::string, std::string>> labels = {
-        {"profile", name}, {"graph", backend_name}};
-    ReportJsonMetric("parallel_recalc",
-                     {"cutoff_eval_ratio", ratio, "", labels});
-    ReportJsonMetric("parallel_recalc", {"cutoff_cells_evaluated",
-                                         double(cut.recalculated), "cells",
-                                         labels});
-    ReportJsonMetric("parallel_recalc", {"cutoff_cells_skipped",
-                                         double(cut.skipped), "cells",
-                                         labels});
-    ReportJsonMetric("parallel_recalc",
-                     {"cutoff_full_eval_ms", full.eval_ms, "ms", labels});
-    ReportJsonMetric("parallel_recalc",
-                     {"cutoff_eval_ms", cut.eval_ms, "ms", labels});
-    ReportJsonMetric("parallel_recalc",
-                     {"cutoff_eval_2t_ms", cut2.eval_ms, "ms", labels});
     return ratio;
   };
 

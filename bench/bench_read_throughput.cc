@@ -183,16 +183,6 @@ int main() {
     double scaling =
         one_reader_rate > 0 ? run.reads_per_sec / one_reader_rate : 0;
     std::string r = std::to_string(readers);
-    ReportJsonMetric("bench_read_throughput",
-                     {"reads_per_sec", run.reads_per_sec, "1/s",
-                      {{"readers", r}}});
-    ReportJsonMetric("bench_read_throughput",
-                     {"writes_per_sec", run.writes_per_sec, "1/s",
-                      {{"readers", r}}});
-    ReportJsonMetric("bench_read_throughput",
-                     {"read_max_ms", run.read_max_ms, "ms", {{"readers", r}}});
-    ReportJsonMetric("bench_read_throughput",
-                     {"reader_scaling", scaling, "", {{"readers", r}}});
     char scaling_str[32];
     std::snprintf(scaling_str, sizeof(scaling_str), "%.1fx", scaling);
     table.AddRow({r + "R", FormatRate(run.reads_per_sec), scaling_str,

@@ -205,28 +205,6 @@ void RunDurableThroughput() {
       off.edits_per_sec > 0 ? on.edits_per_sec / off.edits_per_sec : 0;
   std::printf("  speedup: %.2fx (acceptance floor: 5x at smoke scale)\n",
               speedup);
-  std::vector<std::pair<std::string, std::string>> labels = {
-      {"sessions", std::to_string(sessions)},
-      {"threads_per_session", std::to_string(threads_per_session)}};
-  auto with_mode = [&](const char* mode) {
-    auto copy = labels;
-    copy.push_back({"group_commit", mode});
-    return copy;
-  };
-  ReportJsonMetric("bench_storage",
-                   {"durable_edits_per_sec", off.edits_per_sec, "1/s",
-                    with_mode("off")});
-  ReportJsonMetric("bench_storage",
-                   {"durable_edits_per_sec", on.edits_per_sec, "1/s",
-                    with_mode("on")});
-  ReportJsonMetric("bench_storage",
-                   {"group_commit_speedup", speedup, "x", labels});
-  ReportJsonMetric("bench_storage",
-                   {"group_mean_appends_per_flush", on.mean_group_size, "",
-                    labels});
-  ReportJsonMetric("bench_storage",
-                   {"nondurable_edits_per_sec", ceiling.edits_per_sec, "1/s",
-                    labels});
 }
 
 void RunCorpus(const CorpusProfile& profile) {
@@ -246,16 +224,6 @@ void RunCorpus(const CorpusProfile& profile) {
   row("text", text_numbers);
   row("binary", binary_numbers);
   table.Print();
-  for (const auto& [backend, n] :
-       {std::pair<const char*, const BackendNumbers&>{"text", text_numbers},
-        {"binary", binary_numbers}}) {
-    std::vector<std::pair<std::string, std::string>> labels = {
-        {"corpus", profile.name}, {"backend", backend}};
-    ReportJsonMetric("bench_storage", {"save_ms", n.save_ms, "ms", labels});
-    ReportJsonMetric("bench_storage", {"load_ms", n.load_ms, "ms", labels});
-    ReportJsonMetric("bench_storage",
-                     {"snapshot_bytes", double(n.bytes), "bytes", labels});
-  }
   if (binary_numbers.load_ms > 0) {
     std::printf(
         "  binary load speedup: %.2fx  (size: %.2fx of text)\n",
@@ -284,10 +252,6 @@ int main() {
   double nosync_rate = MeasureWalAppends(false, records);
   std::printf("  fsync on : %10.0f records/s\n", sync_rate);
   std::printf("  fsync off: %10.0f records/s\n", nosync_rate);
-  ReportJsonMetric("bench_storage", {"wal_appends_per_sec", sync_rate, "1/s",
-                                     {{"fsync", "on"}}});
-  ReportJsonMetric("bench_storage", {"wal_appends_per_sec", nosync_rate,
-                                     "1/s", {{"fsync", "off"}}});
 
   RunDurableThroughput();
 

@@ -2,7 +2,6 @@
 // NoComp vs TACO-InRow vs TACO-Full, both corpora.
 
 #include <cstdio>
-#include <tuple>
 
 #include "compression_survey.h"
 
@@ -28,17 +27,6 @@ void Report(const CorpusSurvey& survey) {
   table.AddRow({"TACO-Full", WithPercent(survey.TotalFullVertices(), v0),
                 WithPercent(survey.TotalFullEdges(), e0)});
   table.Print();
-  for (const auto& [variant, vertices, edges] :
-       {std::tuple<const char*, uint64_t, uint64_t>{"nocomp", v0, e0},
-        {"inrow", survey.TotalInRowVertices(), survey.TotalInRowEdges()},
-        {"full", survey.TotalFullVertices(), survey.TotalFullEdges()}}) {
-    std::vector<std::pair<std::string, std::string>> labels = {
-        {"corpus", survey.corpus}, {"variant", variant}};
-    ReportJsonMetric("bench_table2_graph_sizes",
-                     {"vertices", double(vertices), "", labels});
-    ReportJsonMetric("bench_table2_graph_sizes",
-                     {"edges", double(edges), "", labels});
-  }
 }
 
 }  // namespace

@@ -88,76 +88,6 @@ void PrintCdfRow(TablePrinter* table, const std::string& name,
                  FormatMs(Percentile(ms, 100))});
 }
 
-namespace {
-
-/// JSON string escaping for the metric sink. Bench/metric/label names
-/// are code-controlled, but a corpus name or unit could in principle
-/// carry quotes; escaping is cheap insurance.
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-void ReportJsonMetric(std::string_view bench, const JsonMetric& metric) {
-  const char* path = std::getenv("TACO_BENCH_JSON");
-  if (path == nullptr || path[0] == '\0') return;
-  // One shared sink per process, opened once in append mode so several
-  // binaries writing to the same path interleave whole lines.
-  static std::FILE* sink = [&]() -> std::FILE* {
-    std::FILE* f = std::fopen(path, "a");
-    if (f == nullptr) {
-      std::fprintf(stderr, "[bench] cannot append TACO_BENCH_JSON '%s'\n",
-                   path);
-    }
-    return f;
-  }();
-  if (sink == nullptr) return;
-
-  std::string line = "{\"bench\":\"" + JsonEscape(bench) + "\"";
-  line += ",\"profile\":\"";
-  line += BenchProfileName(ActiveBenchProfile());
-  line += "\",\"metric\":\"" + JsonEscape(metric.name) + "\"";
-  char value[64];
-  if (std::isfinite(metric.value)) {
-    std::snprintf(value, sizeof(value), "%.9g", metric.value);
-  } else {
-    std::snprintf(value, sizeof(value), "null");
-  }
-  line += ",\"value\":";
-  line += value;
-  line += ",\"unit\":\"" + JsonEscape(metric.unit) + "\"";
-  line += ",\"labels\":{";
-  bool first = true;
-  for (const auto& [key, val] : metric.labels) {
-    if (!first) line += ",";
-    first = false;
-    line += "\"" + JsonEscape(key) + "\":\"" + JsonEscape(val) + "\"";
-  }
-  line += "}}\n";
-  std::fputs(line.c_str(), sink);
-  std::fflush(sink);  // One line per flush: partial records never land.
-}
-
 int EnvInt(const char* name, int fallback) {
   const char* value = std::getenv(name);
   return value ? std::atoi(value) : fallback;

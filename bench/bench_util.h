@@ -11,10 +11,6 @@
 //   TACO_BENCH_MAX_FORMULAS  override the per-sheet formula cap
 //   TACO_BENCH_BUDGET_MS  DNF cutoff for baseline builds/queries
 //                         (default 10000; the paper used 300000/60000)
-//   TACO_BENCH_JSON       path of a JSON Lines sink: every
-//                         ReportJsonMetric() call appends one object, so
-//                         several bench binaries pointed at the same
-//                         file build one machine-readable artifact
 // The fine-grained knobs win over the profile, so a profile can be
 // tweaked without abandoning it.
 
@@ -71,26 +67,6 @@ void PrintCdfRow(TablePrinter* table, const std::string& name,
 
 int EnvInt(const char* name, int fallback);
 double EnvDouble(const char* name, double fallback);
-
-/// One machine-readable datapoint for the TACO_BENCH_JSON sink.
-struct JsonMetric {
-  std::string name;  ///< e.g. "reads_per_sec", "build_ms".
-  double value = 0;
-  std::string unit;  ///< e.g. "1/s", "ms", "bytes"; "" = dimensionless.
-  /// Run parameters that identify the datapoint, e.g.
-  /// {{"readers", "4"}, {"path", "mvcc"}}.
-  std::vector<std::pair<std::string, std::string>> labels;
-};
-
-/// Appends one JSON object (one line) to the file named by
-/// TACO_BENCH_JSON:
-///   {"bench":"...","profile":"smoke","metric":"...","value":...,
-///    "unit":"...","labels":{...}}
-/// No-op when the env var is unset, so the human-readable tables stay
-/// the default. Append mode on purpose: the bench_smoke aggregate runs
-/// several binaries against one artifact file. Non-finite values (a DNF
-/// sentinel, say) are emitted as null.
-void ReportJsonMetric(std::string_view bench, const JsonMetric& metric);
 
 /// The TACO_BENCH_PROFILE scale presets.
 enum class BenchProfile {

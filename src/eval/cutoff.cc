@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/range_set.h"
 #include "formula/references.h"
-#include "rtree/rtree.h"
 
 namespace taco {
 
@@ -23,6 +21,13 @@ void CapturePriorValues(const Sheet& sheet, const Evaluator& evaluator,
   }
 }
 
+namespace {
+
+/// Partitions Kahn-style ready counts into waves. `adj[p]` lists the
+/// nodes depending on p; `indeg` is consumed. Waves come out sorted by
+/// node index so the partition is canonical regardless of adjacency
+/// discovery order. Nodes still blocked at the end (on or downstream of
+/// a cycle) are returned through `leftover`, in node order.
 std::vector<std::vector<int>> BuildWaves(
     const std::vector<std::vector<int>>& adj, std::vector<int>* indeg,
     std::vector<int>* leftover) {
@@ -53,6 +58,8 @@ std::vector<std::vector<int>> BuildWaves(
   }
   return waves;
 }
+
+}  // namespace
 
 void CollectDirtyFormulaCells(const Sheet& sheet, std::span<const Range> dirty,
                               std::vector<Cell>* nodes,
@@ -136,59 +143,6 @@ CellWavePlan BuildCellWavePlan(std::vector<Cell> nodes,
   if (!plan.over_budget) {
     plan.waves = BuildWaves(plan.adj, &indeg, &plan.leftover);
   }
-  return plan;
-}
-
-RangeWavePlan BuildRangeWavePlan(const Sheet& sheet,
-                                 std::span<const Range> dirty,
-                                 std::span<const Range> seeds) {
-  RangeWavePlan plan;
-  const int m = static_cast<int>(dirty.size());
-  RTree index;
-  for (int j = 0; j < m; ++j) index.Insert(dirty[j], j);
-
-  plan.formulas.assign(m, 0);
-  plan.adj.resize(m);
-  plan.forced.assign(m, 0);
-  std::vector<int> indeg(m, 0);
-  std::unordered_set<uint64_t> edge_seen;
-  std::vector<A1Reference> refs;
-  for (int j = 0; j < m; ++j) {
-    for (const Cell& cell : EnumerateCells(dirty[j])) {
-      const CellContent* content = sheet.Get(cell);
-      if (content == nullptr || !content->IsFormula()) continue;
-      ++plan.formulas[j];
-      if (!plan.forced[j] && !seeds.empty() && CoversCell(seeds, cell)) {
-        plan.forced[j] = 1;  // The cell itself was edited.
-      }
-      refs.clear();
-      ExtractReferences(*content->formula().ast, &refs);
-      for (const A1Reference& ref : refs) {
-        if (!ref.range.IsValid()) continue;
-        if (!plan.forced[j]) {
-          for (const Range& seed : seeds) {
-            if (ref.range.Overlaps(seed)) {
-              plan.forced[j] = 1;
-              break;
-            }
-          }
-        }
-        index.ForEachOverlap(ref.range, [&](const Range&, RTree::EntryId id) {
-          const int i = static_cast<int>(id);
-          // Intra-range dependencies are resolved by in-order evaluation
-          // inside the range's task, so self-edges don't schedule.
-          if (i == j) return;
-          uint64_t key = (static_cast<uint64_t>(i) << 32) |
-                         static_cast<uint32_t>(j);
-          if (!edge_seen.insert(key).second) return;
-          plan.adj[i].push_back(j);
-          ++indeg[j];
-        });
-      }
-    }
-  }
-  plan.edges = edge_seen.size();
-  plan.waves = BuildWaves(plan.adj, &indeg, &plan.leftover);
   return plan;
 }
 

@@ -56,15 +56,6 @@ struct CutoffContext {
 void CapturePriorValues(const Sheet& sheet, const Evaluator& evaluator,
                         std::span<const Range> dirty, CutoffContext* ctx);
 
-/// Partitions Kahn-style ready counts into waves. `adj[p]` lists the
-/// nodes depending on p; `indeg` is consumed. Waves come out sorted by
-/// node index so the partition is canonical regardless of adjacency
-/// discovery order. Nodes still blocked at the end (on or downstream of
-/// a cycle) are returned through `leftover`, in node order.
-std::vector<std::vector<int>> BuildWaves(
-    const std::vector<std::vector<int>>& adj, std::vector<int>* indeg,
-    std::vector<int>* leftover);
-
 /// Appends every dirty formula cell (and its AST) in dirty-range
 /// enumeration order — the node order both serial-inline evaluation and
 /// the leftover replay depend on.
@@ -87,7 +78,7 @@ struct CellWavePlan {
   std::vector<char> forced;
   uint64_t edges = 0;
   /// Edge expansion blew `max_edges`; waves/leftover are unusable and
-  /// the caller must fall back to range-granular leveling.
+  /// the caller runs the pass serial-inline.
   bool over_budget = false;
   std::vector<std::vector<int>> waves;
   std::vector<int> leftover;  ///< Cycle members + downstream, node order.
@@ -100,28 +91,6 @@ CellWavePlan BuildCellWavePlan(std::vector<Cell> nodes,
                                std::vector<const Expr*> asts,
                                std::span<const Range> seeds,
                                uint64_t max_edges);
-
-/// The range-granular fallback plan: the disjoint dirty RANGES are the
-/// nodes and an R-tree over them turns each reference into range-level
-/// edges. A range is one unit of work (its formulas evaluate in
-/// enumeration order inside one task), so intra-range dependencies cost
-/// nothing to schedule and never become edges.
-struct RangeWavePlan {
-  std::vector<uint64_t> formulas;  ///< Formula cells per dirty range.
-  std::vector<std::vector<int>> adj;
-  /// Some formula cell of the range reads an edited rectangle directly
-  /// (or was edited): cutoff never prunes the range.
-  std::vector<char> forced;
-  uint64_t edges = 0;  ///< Distinct range-level edges.
-  std::vector<std::vector<int>> waves;
-  std::vector<int> leftover;  ///< Cross-range cycles + downstream.
-};
-
-/// Discovers the range-level edges of `dirty`, marks seed-forced ranges
-/// (`seeds` may be empty), and builds the waves.
-RangeWavePlan BuildRangeWavePlan(const Sheet& sheet,
-                                 std::span<const Range> dirty,
-                                 std::span<const Range> seeds);
 
 }  // namespace taco
 

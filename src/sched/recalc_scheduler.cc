@@ -60,15 +60,12 @@ uint64_t EvaluateRange(const Sheet& sheet, Evaluator* evaluator,
   return evaluated;
 }
 
-/// Formula cells in `dirty`, for serial-inline plan summaries; bounded by
-/// `max_area` so a dry run cannot outlast the pass it describes.
-uint64_t CountDirtyFormulas(const Sheet& sheet, std::span<const Range> dirty,
-                            uint64_t max_area) {
+/// Formula cells in `dirty`, for serial-inline plan summaries. The pass
+/// it describes enumerates the same cells, so the dry run cannot outlast
+/// it.
+uint64_t CountDirtyFormulas(const Sheet& sheet, std::span<const Range> dirty) {
   uint64_t formulas = 0;
-  uint64_t scanned = 0;
   for (const Range& range : dirty) {
-    scanned += range.Area();
-    if (scanned > max_area) break;
     for (const Cell& cell : EnumerateCells(range)) {
       if (sheet.IsFormulaCell(cell)) ++formulas;
     }
@@ -94,9 +91,8 @@ uint64_t RecalcPlan::max_wave_cells() const {
 
 std::string_view RecalcPlan::granularity_name() const {
   switch (granularity) {
-    case Granularity::kSerialInline:  return "serial-inline";
-    case Granularity::kCellGranular:  return "cell-granular";
-    case Granularity::kRangeGranular: return "range-granular";
+    case Granularity::kSerialInline: return "serial-inline";
+    case Granularity::kCellGranular: return "cell-granular";
   }
   return "?";
 }
@@ -136,86 +132,58 @@ RecalcScheduler::PassPlan RecalcScheduler::PlanPass(
                  plan.dirty_area, options_.min_parallel_cells);
     return pass;
   }
-  // Too fragmented for range-granular edge discovery. Without cutoff
-  // such a pass skips planning altogether; a cutoff pass still tries
-  // cell-granular waves, whose cost does not grow with the range count.
-  const bool fragmented = dirty.size() > options_.max_ranges;
-  auto decide_fragmented = [&] {
+  // Too fragmented to be worth planning: without cutoff such a pass
+  // runs inline. A cutoff pass still builds cell-granular waves, whose
+  // cost does not grow with the range count.
+  if (!cutoff && dirty.size() > options_.max_ranges) {
     plan.decision =
         Decision("dirty_ranges(%" PRIu64 ")>max_ranges(%" PRIu64 ")",
                  plan.dirty_ranges, options_.max_ranges);
-  };
-  if (!cutoff && fragmented) {
-    decide_fragmented();
+    return pass;
+  }
+  if (plan.dirty_area > options_.max_cells) {
+    plan.decision = Decision("dirty_area(%" PRIu64 ")>max_cells(%" PRIu64 ")",
+                             plan.dirty_area, options_.max_cells);
     return pass;
   }
 
-  if (plan.dirty_area <= options_.max_cells) {
-    // Nodes: every dirty formula cell, in dirty-range enumeration order.
-    std::vector<Cell> nodes;
-    std::vector<const Expr*> asts;
-    CollectDirtyFormulaCells(sheet, dirty, &nodes, &asts);
-    plan.dirty_formulas = nodes.size();
-    if (!cutoff && nodes.size() < options_.min_parallel_cells) {
-      plan.decision =
-          Decision("dirty_formulas(%" PRIu64 ")<min_parallel_cells(%" PRIu64
-                   ")",
-                   plan.dirty_formulas, options_.min_parallel_cells);
-      pass.cells.nodes = std::move(nodes);
-      return pass;
-    }
-    pass.cells = BuildCellWavePlan(std::move(nodes), std::move(asts), seeds,
-                                   options_.max_edges);
-    plan.edges = pass.cells.edges;
-    if (!pass.cells.over_budget) {
-      plan.granularity = RecalcPlan::Granularity::kCellGranular;
-      plan.decision = Decision("edges(%" PRIu64 ")<=max_edges(%" PRIu64 ")",
-                               plan.edges, options_.max_edges);
-      plan.wave_cells.reserve(pass.cells.waves.size());
-      for (const std::vector<int>& wave : pass.cells.waves) {
-        plan.wave_cells.push_back(wave.size());
-        if (cutoff) {
-          // Upper bound: nodes with no direct seed input MAY skip when
-          // their dirty precedents all commit unchanged (and a prior
-          // value is cached — unknowable in a dry run).
-          uint64_t eligible = 0;
-          for (int idx : wave) eligible += pass.cells.forced[idx] == 0;
-          plan.wave_cutoff_eligible.push_back(eligible);
-        }
-      }
-      plan.cycle_cells = pass.cells.leftover.size();
-      return pass;
-    }
+  // Nodes: every dirty formula cell, in dirty-range enumeration order.
+  std::vector<Cell> nodes;
+  std::vector<const Expr*> asts;
+  CollectDirtyFormulaCells(sheet, dirty, &nodes, &asts);
+  plan.dirty_formulas = nodes.size();
+  if (!cutoff && nodes.size() < options_.min_parallel_cells) {
+    plan.decision =
+        Decision("dirty_formulas(%" PRIu64 ")<min_parallel_cells(%" PRIu64 ")",
+                 plan.dirty_formulas, options_.min_parallel_cells);
+    pass.cells.nodes = std::move(nodes);
+    return pass;
+  }
+  pass.cells = BuildCellWavePlan(std::move(nodes), std::move(asts), seeds,
+                                 options_.max_edges);
+  plan.edges = pass.cells.edges;
+  if (pass.cells.over_budget) {
     plan.decision = Decision("edges(%" PRIu64 ")>max_edges(%" PRIu64 ")",
                              plan.edges, options_.max_edges);
     pass.cells = CellWavePlan{};  // Free the aborted expansion.
-  } else {
-    plan.decision = Decision("dirty_area(%" PRIu64 ")>max_cells(%" PRIu64 ")",
-                             plan.dirty_area, options_.max_cells);
-  }
-
-  if (fragmented) {
-    decide_fragmented();
     return pass;
   }
-  plan.granularity = RecalcPlan::Granularity::kRangeGranular;
-  pass.ranges = BuildRangeWavePlan(sheet, dirty, seeds);
-  const RangeWavePlan& ranges = pass.ranges;
-  plan.edges = ranges.edges;
-  plan.dirty_formulas = 0;
-  for (uint64_t formulas : ranges.formulas) plan.dirty_formulas += formulas;
-  plan.wave_cells.reserve(ranges.waves.size());
-  for (const std::vector<int>& wave : ranges.waves) {
-    uint64_t wave_cells = 0;
-    uint64_t eligible = 0;
-    for (int j : wave) {
-      wave_cells += ranges.formulas[j];
-      if (ranges.forced[j] == 0) eligible += ranges.formulas[j];
+  plan.granularity = RecalcPlan::Granularity::kCellGranular;
+  plan.decision = Decision("edges(%" PRIu64 ")<=max_edges(%" PRIu64 ")",
+                           plan.edges, options_.max_edges);
+  plan.wave_cells.reserve(pass.cells.waves.size());
+  for (const std::vector<int>& wave : pass.cells.waves) {
+    plan.wave_cells.push_back(wave.size());
+    if (cutoff) {
+      // Upper bound: nodes with no direct seed input MAY skip when their
+      // dirty precedents all commit unchanged (and a prior value is
+      // cached — unknowable in a dry run).
+      uint64_t eligible = 0;
+      for (int idx : wave) eligible += pass.cells.forced[idx] == 0;
+      plan.wave_cutoff_eligible.push_back(eligible);
     }
-    plan.wave_cells.push_back(wave_cells);
-    if (cutoff) plan.wave_cutoff_eligible.push_back(eligible);
   }
-  for (int j : ranges.leftover) plan.cycle_cells += ranges.formulas[j];
+  plan.cycle_cells = pass.cells.leftover.size();
   return pass;
 }
 
@@ -227,7 +195,7 @@ RecalcPlan RecalcScheduler::Plan(const Sheet& sheet,
   // Serial-inline execution counts formulas as it evaluates them; a dry
   // run has to count them here.
   if (plan.granularity == RecalcPlan::Granularity::kSerialInline) {
-    plan.dirty_formulas = CountDirtyFormulas(sheet, dirty, options_.max_cells);
+    plan.dirty_formulas = CountDirtyFormulas(sheet, dirty);
   }
   return plan;
 }
@@ -259,9 +227,6 @@ RecalcScheduler::Outcome RecalcScheduler::Execute(
       break;
     case RecalcPlan::Granularity::kCellGranular:
       RunCellWaves(pass.cells, sheet, evaluator, cutoff, &outcome);
-      break;
-    case RecalcPlan::Granularity::kRangeGranular:
-      RunRangeWaves(pass.ranges, dirty, sheet, evaluator, cutoff, &outcome);
       break;
   }
   return outcome;
@@ -357,122 +322,6 @@ void RecalcScheduler::RunCellWaves(const CellWavePlan& plan,
   // serial node order.
   for (int idx : plan.leftover) evaluator->EvaluateCell(plan.nodes[idx]);
   outcome->recalculated += plan.leftover.size();
-}
-
-void RecalcScheduler::RunRangeWaves(const RangeWavePlan& plan,
-                                    std::span<const Range> dirty,
-                                    const Sheet& sheet, Evaluator* evaluator,
-                                    const CutoffContext* cutoff,
-                                    Outcome* outcome) const {
-  const int m = static_cast<int>(dirty.size());
-  const int width = this->width();
-  for (uint64_t formulas : plan.formulas) outcome->dirty_formulas += formulas;
-
-  // Cutoff: a RANGE is the pruning unit. It skips only when every
-  // formula cell in it has a captured prior and no seed input, and it
-  // re-marks dependent ranges when ANY of its cells commits changed.
-  std::vector<char> needs_eval;
-  if (cutoff != nullptr) {
-    needs_eval.assign(plan.forced.begin(), plan.forced.end());
-    for (int j = 0; j < m; ++j) {
-      for (const Cell& cell : EnumerateCells(dirty[j])) {
-        if (needs_eval[j]) break;
-        if (sheet.IsFormulaCell(cell) &&
-            cutoff->prior.find(cell) == cutoff->prior.end()) {
-          needs_eval[j] = 1;
-        }
-      }
-    }
-  }
-  auto mark_dependents = [&](int j) {
-    for (int d : plan.adj[j]) needs_eval[d] = 1;
-  };
-
-  std::vector<std::unique_ptr<WorkerContext>> contexts;
-  // Per-range results, committed after each wave's barrier.
-  std::vector<std::vector<std::pair<Cell, Value>>> results;
-  std::vector<int> eval_list;
-  WaitGroup group;
-  for (const std::vector<int>& wave : plan.waves) {
-    std::span<const int> run(wave);
-    uint64_t run_cells = 0;
-    if (cutoff != nullptr) {
-      // Prune before dispatch (workers read the shared cache).
-      eval_list.clear();
-      for (int j : wave) {
-        if (needs_eval[j]) {
-          eval_list.push_back(j);
-          run_cells += plan.formulas[j];
-          continue;
-        }
-        for (const Cell& cell : EnumerateCells(dirty[j])) {
-          if (!sheet.IsFormulaCell(cell)) continue;
-          evaluator->Prime(cell, cutoff->prior.at(cell));
-          ++outcome->cells_skipped_cutoff;
-        }
-      }
-      run = eval_list;
-    } else {
-      for (int j : wave) run_cells += plan.formulas[j];
-    }
-
-    if (width <= 1 || run_cells < options_.min_parallel_wave ||
-        run.size() == 1) {
-      for (int j : run) {
-        if (cutoff == nullptr) {
-          outcome->recalculated += EvaluateRange(sheet, evaluator, dirty[j]);
-          continue;
-        }
-        bool changed = false;
-        for (const Cell& cell : EnumerateCells(dirty[j])) {
-          if (!sheet.IsFormulaCell(cell)) continue;
-          changed |= ChangedFromPrior(*cutoff, cell,
-                                      evaluator->EvaluateCell(cell));
-          ++outcome->recalculated;
-        }
-        if (changed) mark_dependents(j);
-      }
-      continue;
-    }
-    if (contexts.empty()) {
-      contexts = MakeContexts(width, sheet, evaluator);
-      results.resize(m);
-    }
-    const int tasks = std::min<int>(width, static_cast<int>(run.size()));
-    for (int c = 0; c < tasks; ++c) {
-      pool_->Submit(&group, [&, c, tasks] {
-        Evaluator& eval = contexts[c]->eval;
-        for (size_t pos = c; pos < run.size();
-             pos += static_cast<size_t>(tasks)) {
-          const int j = run[pos];
-          for (const Cell& cell : EnumerateCells(dirty[j])) {
-            if (sheet.IsFormulaCell(cell)) {
-              results[j].emplace_back(cell, eval.EvaluateCell(cell));
-            }
-          }
-        }
-      });
-    }
-    auto barrier_start = SteadyNow();
-    group.Wait();
-    outcome->barrier_wait_ns += NsSince(barrier_start);
-    for (int j : run) {
-      bool changed = false;
-      for (auto& [cell, value] : results[j]) {
-        if (cutoff != nullptr) changed |= ChangedFromPrior(*cutoff, cell, value);
-        evaluator->Prime(cell, std::move(value));
-        ++outcome->recalculated;
-      }
-      if (changed) mark_dependents(j);
-      results[j].clear();
-      results[j].shrink_to_fit();
-    }
-  }
-  // Mutually-referencing ranges (cross-range cycles), in serial order —
-  // never pruned.
-  for (int j : plan.leftover) {
-    outcome->recalculated += EvaluateRange(sheet, evaluator, dirty[j]);
-  }
 }
 
 }  // namespace taco

@@ -10,7 +10,7 @@
 // after a barrier. A scheduler without a pool runs at width 1: the same
 // plans, with every wave evaluated on the calling thread.
 //
-// One planner (PlanPass) chooses the granularity per pass by budget;
+// One planner (PlanPass) chooses one of two granularities per pass;
 // Execute runs what it returns and Plan (EXPLAIN) returns its summary,
 // so a plan always matches the pass a mutation would run:
 //   * Cell-granular (the default): each dirty formula cell is a node;
@@ -18,16 +18,10 @@
 //     with the dirty set through a per-column row index. Kahn-style
 //     ready counts partition the nodes into waves. Bounded by
 //     `max_cells` nodes and `max_edges` expanded (cell-level) edges.
-//   * Range-granular (the fallback): when per-cell expansion would
-//     exceed the budget, the disjoint dirty RANGES become the nodes and
-//     an R-tree over them resolves reference overlaps into range-level
-//     edges. A range is one unit of work (its cells evaluate in
-//     enumeration order inside one task), so intra-range chains cost
-//     nothing to schedule.
-//   * Serial inline: without cutoff, passes at width 1 or below
-//     `min_parallel_cells`, and with or without it, dirty sets more
-//     fragmented than `max_ranges`, evaluate on the calling thread in
-//     dirty-range enumeration order, with no waves.
+//   * Serial inline: passes over either budget, and without cutoff,
+//     passes at width 1, below `min_parallel_cells` or more fragmented
+//     than `max_ranges`, evaluate on the calling thread in dirty-range
+//     enumeration order, with no waves and no cutoff.
 //
 // Determinism contract — wave results are CELL-FOR-CELL IDENTICAL to
 // serial-inline evaluation, errors and #CYCLE! included:
@@ -46,10 +40,7 @@
 //     Kahn's algorithm. These leftovers are evaluated serially, in the
 //     same dirty-range enumeration order as serial-inline evaluation,
 //     AFTER all waves — so cycle detection sees the same first-touch
-//     order and reports exactly the serial #CYCLE! pattern. (An
-//     intra-range cycle in range-granular mode stays inside one task,
-//     which evaluates the range in enumeration order — again the serial
-//     order.)
+//     order and reports exactly the serial #CYCLE! pattern.
 //
 // This determinism is what makes the MVCC read path width-independent:
 // when Execute returns, the shared evaluator cache holds exactly the
@@ -81,9 +72,8 @@ namespace taco {
 /// EXPLAIN protocol verb; Execute runs the very plan it summarizes.
 struct RecalcPlan {
   enum class Granularity {
-    kSerialInline,   ///< Evaluated on the calling thread, no waves.
-    kCellGranular,   ///< Per-cell nodes, Kahn waves.
-    kRangeGranular,  ///< Disjoint dirty ranges as nodes, R-tree edges.
+    kSerialInline,  ///< Evaluated on the calling thread, no waves.
+    kCellGranular,  ///< Per-cell nodes, Kahn waves.
   };
 
   Granularity granularity = Granularity::kSerialInline;
@@ -93,7 +83,7 @@ struct RecalcPlan {
   int width = 1;                     ///< Wave-execution width (threads).
   /// The plan models a cutoff pass: the width/min_parallel_cells serial
   /// short-circuits don't apply (cutoff always builds waves when the
-  /// granularity budgets allow), and `wave_cutoff_eligible` is filled.
+  /// planning budgets allow), and `wave_cutoff_eligible` is filled.
   bool cutoff = false;
   uint64_t dirty_ranges = 0;         ///< Disjoint dirty rectangles.
   uint64_t dirty_area = 0;           ///< Total cells covered by them.
@@ -124,18 +114,18 @@ struct SchedulerOptions {
   /// thousands of single-cell waves).
   uint64_t min_parallel_wave = 32;
 
-  /// Cell-granular planning budgets; exceeding either falls back to
-  /// range-granular leveling. `max_cells` bounds the node arrays (dirty
-  /// AREA, so a sparse million-cell rectangle cannot allocate a node per
-  /// blank cell); `max_edges` bounds per-cell precedent expansion (a
-  /// SUM over a dirty column expands to one edge per dirty cell in it).
+  /// Cell-granular planning budgets; exceeding either runs serial-inline.
+  /// `max_cells` bounds the node arrays (dirty AREA, so a sparse
+  /// million-cell rectangle cannot allocate a node per blank cell);
+  /// `max_edges` bounds per-cell precedent expansion (a SUM over a dirty
+  /// column expands to one edge per dirty cell in it). `max_cells` also
+  /// bounds the engine's cutoff prior capture: a pass dirtying a larger
+  /// area runs without cutoff.
   uint64_t max_cells = 1u << 20;
   uint64_t max_edges = 4u << 20;
 
-  /// Range-granular budget: more disjoint dirty ranges than this and the
-  /// pass just runs serial inline (edge discovery would dominate).
-  /// `max_cells` also bounds the engine's cutoff prior capture: a pass
-  /// dirtying a larger area runs without cutoff.
+  /// Non-cutoff passes more fragmented than this (disjoint dirty ranges)
+  /// skip planning and run serial-inline.
   uint64_t max_ranges = 4096;
 };
 
@@ -166,9 +156,9 @@ class RecalcScheduler {
   /// `dirty` ranges are disjoint; the evaluator has already been
   /// invalidated for them. `cutoff` non-null enables value-change cutoff
   /// for the pass (see eval/cutoff.h for the contract): waves are pruned
-  /// at nodes whose dirty precedents all committed unchanged, in both
-  /// granularities, and pruned cells get their prior value restored.
-  /// Results remain cell-for-cell identical to an un-cut pass.
+  /// at nodes whose dirty precedents all committed unchanged, and pruned
+  /// cells get their prior value restored; a serial-inline pass runs
+  /// un-cut. Results remain cell-for-cell identical to an un-cut pass.
   Outcome Execute(const Sheet& sheet, Evaluator* evaluator,
                   std::span<const Range> dirty,
                   const CutoffContext* cutoff) const;
@@ -184,27 +174,23 @@ class RecalcScheduler {
   const SchedulerOptions& options() const { return options_; }
 
  private:
-  /// The planner's output: the summary plus the wave structure of its
-  /// granularity. Serial-inline passes that already enumerated the dirty
-  /// formula cells keep them in `cells.nodes`.
+  /// The planner's output: the summary plus the cell waves. Serial-inline
+  /// passes that already enumerated the dirty formula cells keep them in
+  /// `cells.nodes`.
   struct PassPlan {
     RecalcPlan summary;
     CellWavePlan cells;
-    RangeWavePlan ranges;
   };
   PassPlan PlanPass(const Sheet& sheet, std::span<const Range> dirty,
                     std::span<const Range> seeds, bool cutoff) const;
 
-  /// The wave loops. Without `cutoff` every node evaluates and nothing
-  /// is compared or marked; with it, pruned nodes are primed from their
+  /// The wave loop. Without `cutoff` every node evaluates and nothing is
+  /// compared or marked; with it, pruned nodes are primed from their
   /// prior before the wave dispatches and changed commits mark their
   /// dependents.
   void RunCellWaves(const CellWavePlan& plan, const Sheet& sheet,
                     Evaluator* evaluator, const CutoffContext* cutoff,
                     Outcome* outcome) const;
-  void RunRangeWaves(const RangeWavePlan& plan, std::span<const Range> dirty,
-                     const Sheet& sheet, Evaluator* evaluator,
-                     const CutoffContext* cutoff, Outcome* outcome) const;
 
   /// Tasks per wave: 1 without a pool.
   int width() const;

@@ -196,7 +196,7 @@ TEST_P(ExplainTest, TinyDirtySetsPlanSerialInlineWithNamedThreshold) {
   EXPECT_EQ(result->waves, 0u);
 }
 
-TEST_P(ExplainTest, EdgeBudgetFallbackPlansRangeGranular) {
+TEST_P(ExplainTest, EdgeBudgetOverflowPlansSerialInline) {
   ThreadPool pool(3);
   SchedulerOptions options = EagerOptions();
   options.max_edges = 4;  // per-cell expansion aborts immediately
@@ -215,37 +215,46 @@ TEST_P(ExplainTest, EdgeBudgetFallbackPlansRangeGranular) {
   ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
 
   RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kRangeGranular);
-  EXPECT_FALSE(info.plan.decision.empty());
-  EXPECT_GE(info.plan.waves(), 1u);
+  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
+  EXPECT_NE(info.plan.decision.find(")>max_edges(4)"), std::string::npos)
+      << info.plan.decision;
+  EXPECT_EQ(info.plan.decision.rfind("edges(", 0), 0u) << info.plan.decision;
+  EXPECT_EQ(info.plan.waves(), 0u);
+  EXPECT_EQ(info.plan.dirty_formulas, 2u * kRows);
 
   auto result = rig.engine.SetNumber(Cell{1, 1}, 100.0);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, info.plan.waves());
-  EXPECT_EQ(result->max_wave_cells, info.plan.max_wave_cells());
+  EXPECT_EQ(result->waves, 0u);
+  EXPECT_EQ(result->dirty_formulas, info.plan.dirty_formulas);
+  EXPECT_EQ(result->recalculated, info.plan.dirty_formulas);
 }
 
-TEST_P(ExplainTest, FragmentedDirtySetsSkipRangeLevelingButStillCut) {
-  // B1 absorbs A1, then B3, B5, ... chain off it: every dirty formula is
-  // its own disjoint range, more of them than max_ranges allows.
-  constexpr int kLinks = 6;
-  auto build = [](RecalcEngine* engine) {
-    EditBatch setup;
-    setup.push_back(Edit::SetNumber(Cell{1, 1}, 10.0));
-    setup.push_back(Edit::SetFormula(Cell{2, 1}, "IF(A1>100,1,0)"));
-    for (int i = 1; i < kLinks; ++i) {
-      setup.push_back(Edit::SetFormula(
-          Cell{2, 2 * i + 1}, "B" + std::to_string(2 * i - 1) + "+1"));
-    }
-    ASSERT_TRUE(engine->ApplyBatch(setup).ok());
-    for (int i = 0; i < kLinks; ++i) engine->GetValue(Cell{2, 2 * i + 1});
-  };
+// B1 absorbs A1, then B3, B5, ... chain off it: every dirty formula is
+// its own disjoint range.
+constexpr int kFragmentedLinks = 6;
+
+void BuildFragmentedChain(RecalcEngine* engine) {
+  EditBatch setup;
+  setup.push_back(Edit::SetNumber(Cell{1, 1}, 10.0));
+  setup.push_back(Edit::SetFormula(Cell{2, 1}, "IF(A1>100,1,0)"));
+  for (int i = 1; i < kFragmentedLinks; ++i) {
+    setup.push_back(Edit::SetFormula(
+        Cell{2, 2 * i + 1}, "B" + std::to_string(2 * i - 1) + "+1"));
+  }
+  ASSERT_TRUE(engine->ApplyBatch(setup).ok());
+  for (int i = 0; i < kFragmentedLinks; ++i) {
+    engine->GetValue(Cell{2, 2 * i + 1});
+  }
+}
+
+TEST_P(ExplainTest, FragmentedDirtySetsSkipPlanningButStillCut) {
+  constexpr int kLinks = kFragmentedLinks;
   ThreadPool pool(3);
   SchedulerOptions options = EagerOptions();
-  options.max_ranges = 2;
+  options.max_ranges = 2;  // Fewer than the chain's disjoint ranges.
   RecalcScheduler scheduler(&pool, options);
   Rig rig(GetParam(), &scheduler);
-  build(&rig.engine);
+  BuildFragmentedChain(&rig.engine);
 
   // Without cutoff the pass skips planning.
   RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
@@ -269,23 +278,75 @@ TEST_P(ExplainTest, FragmentedDirtySetsSkipRangeLevelingButStillCut) {
   EXPECT_EQ(result->recalculated, 1u);
   EXPECT_EQ(result->cells_skipped_cutoff, static_cast<uint64_t>(kLinks - 1));
 
-  // Past the edge budget only range leveling is left, which fragmentation
-  // rules out: serial-inline, uncut.
+  // Past the edge budget the pass runs serial-inline, uncut.
   options.max_edges = 1;
   RecalcScheduler tight(&pool, options);
   Rig tight_rig(GetParam(), &tight);
-  build(&tight_rig.engine);
+  BuildFragmentedChain(&tight_rig.engine);
   tight_rig.engine.set_cutoff(true);
   info = tight_rig.engine.Explain(Range(1, 1, 1, 1));
   EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  EXPECT_NE(info.plan.decision.find("max_ranges"), std::string::npos)
+  EXPECT_NE(info.plan.decision.find(">max_edges(1)"), std::string::npos)
       << info.plan.decision;
   result = tight_rig.engine.SetNumber(Cell{1, 1}, 20.0);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->waves, 0u);
   EXPECT_EQ(result->cells_skipped_cutoff, 0u);
+  EXPECT_EQ(result->dirty_formulas, info.plan.dirty_formulas);
   EXPECT_EQ(tight_rig.engine.GetValue(Cell{2, 2 * kLinks - 1}),
             rig.engine.GetValue(Cell{2, 2 * kLinks - 1}));
+}
+
+TEST_P(ExplainTest, SerialInlinePlanCountsEveryDirtyFormula) {
+  // A dirty area past max_cells: the plan's formula count must still
+  // cover every range the serial pass evaluates.
+  ThreadPool pool(3);
+  SchedulerOptions options = EagerOptions();
+  options.max_ranges = 2;
+  options.max_cells = 4;
+  RecalcScheduler scheduler(&pool, options);
+  Rig rig(GetParam(), &scheduler);
+  BuildFragmentedChain(&rig.engine);
+
+  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
+  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
+  EXPECT_EQ(info.plan.decision, "dirty_ranges(6)>max_ranges(2)");
+  EXPECT_EQ(info.plan.dirty_formulas,
+            static_cast<uint64_t>(kFragmentedLinks));
+
+  auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->waves, 0u);
+  EXPECT_EQ(result->dirty_formulas, info.plan.dirty_formulas);
+  EXPECT_EQ(result->recalculated, info.plan.dirty_formulas);
+}
+
+TEST_P(ExplainTest, CutoffPassOverMaxCellsPlansSerialInlineUncut) {
+  ThreadPool pool(3);
+  SchedulerOptions options = EagerOptions();
+  options.max_cells = 4;  // The chain dirties 6 cells.
+  RecalcScheduler scheduler(&pool, options);
+  Rig rig(GetParam(), &scheduler);
+  BuildFragmentedChain(&rig.engine);
+  rig.engine.set_cutoff(true);
+
+  // The absorber swallows the edit, so a cut pass would prune 5 links;
+  // over max_cells the pass runs without cutoff instead.
+  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
+  EXPECT_TRUE(info.cutoff);
+  EXPECT_FALSE(info.plan.cutoff);
+  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
+  EXPECT_EQ(info.plan.decision, "dirty_area(6)>max_cells(4)");
+  EXPECT_EQ(info.plan.waves(), 0u);
+  EXPECT_EQ(info.plan.dirty_formulas,
+            static_cast<uint64_t>(kFragmentedLinks));
+
+  auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->waves, 0u);
+  EXPECT_EQ(result->cells_skipped_cutoff, 0u);
+  EXPECT_EQ(result->recalculated, static_cast<uint64_t>(kFragmentedLinks));
+  EXPECT_EQ(result->dirty_formulas, info.plan.dirty_formulas);
 }
 
 TEST_P(ExplainTest, CutoffPlansPerWaveEligibilityAndExecutionPrunes) {

@@ -2,8 +2,8 @@
 // wave scheduler must produce sheets CELL-FOR-CELL identical to one with
 // no pool (serial-inline evaluation in dirty-range enumeration order) —
 // values, error cells, and #CYCLE! patterns included — with
-// identical recalc_passes, across every planning granularity
-// (cell-granular Kahn waves, range-granular fallback, serial inline).
+// identical recalc_passes, across both planning granularities
+// (cell-granular Kahn waves, serial inline) and over-budget passes.
 // The randomized suites double as the TSan workload for the scheduler.
 
 #include <memory>
@@ -167,10 +167,10 @@ TEST_P(ParallelRecalcTest, CycleCellsMatchSerialIncludingOrderSensitivity) {
             Value::Error(EvalError::kCycle));
 }
 
-TEST_P(ParallelRecalcTest, RangeGranularFallbackMatchesSerial) {
+TEST_P(ParallelRecalcTest, EdgeBudgetOverflowRunsSerialInline) {
   ThreadPool pool(3);
-  // An edge budget of 4 forces per-cell expansion to abort immediately,
-  // exercising the range-granular leveling path on a normal workload.
+  // An edge budget of 4 forces per-cell expansion to abort immediately:
+  // the pooled pass runs serial-inline on a normal workload.
   SchedulerOptions options = EagerOptions();
   options.max_edges = 4;
   RecalcScheduler scheduler(&pool, options);
@@ -194,8 +194,8 @@ TEST_P(ParallelRecalcTest, RangeGranularFallbackMatchesSerial) {
   auto parallel_result = parallel.engine.SetNumber(Cell{1, 1}, 100.0);
   ASSERT_TRUE(serial_result.ok());
   ASSERT_TRUE(parallel_result.ok());
+  EXPECT_EQ(parallel_result->waves, 0u);
   EXPECT_EQ(parallel_result->recalculated, serial_result->recalculated);
-  EXPECT_GE(parallel_result->waves, 1u);
   ExpectSameValues(&serial, &parallel, Range(1, 1, 3, kRows));
 }
 
@@ -314,6 +314,8 @@ void RunRandomizedWorkload(bool taco, const SchedulerOptions& options,
     EXPECT_EQ(s.recalc_passes, p.recalc_passes) << "round " << round;
     EXPECT_EQ(s.recalculated, p.recalculated) << "round " << round;
     EXPECT_EQ(s.dirty_cells, p.dirty_cells) << "round " << round;
+    EXPECT_EQ(p.recalculated, p.dirty_formulas) << "round " << round;
+    EXPECT_EQ(p.cells_skipped_cutoff, 0u) << "round " << round;
     ExpectSameValues(&serial, &parallel, region);
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -325,9 +327,9 @@ TEST_P(ParallelRecalcTest, RandomizedWorkloadsMatchCellForCell) {
   }
 }
 
-TEST_P(ParallelRecalcTest, RandomizedWorkloadsMatchUnderRangeFallback) {
+TEST_P(ParallelRecalcTest, RandomizedWorkloadsMatchOverEdgeBudget) {
   SchedulerOptions options = EagerOptions();
-  options.max_edges = 2;  // Everything lands in range-granular mode.
+  options.max_edges = 2;  // Nearly every pass runs serial-inline.
   for (uint32_t seed : {5u, 71u}) {
     RunRandomizedWorkload(GetParam(), options, seed, 30);
   }
@@ -428,9 +430,11 @@ struct CutoffRig {
 /// Identical random batches into a full rig and a cutoff rig; after
 /// every batch: cell-for-cell equality plus the cutoff accounting
 /// invariant `recalculated + cells_skipped_cutoff == dirty_formulas`.
+/// `prunes` says whether the cutoff rig must prune somewhere in the run
+/// or nowhere at all (every pass over budget, so every pass runs uncut).
 void RunCutoffDifferential(const CutoffGraphSpec& spec,
                            const SchedulerOptions& options, bool parallel,
-                           uint32_t seed, int rounds) {
+                           uint32_t seed, int rounds, bool prunes = true) {
   ThreadPool pool(options.threads);
   RecalcScheduler scheduler(&pool, options);
   RecalcScheduler* plugged = parallel ? &scheduler : nullptr;
@@ -465,6 +469,9 @@ void RunCutoffDifferential(const CutoffGraphSpec& spec,
     EXPECT_EQ(f.cells_skipped_cutoff, 0u) << spec.name << " round " << round;
     EXPECT_EQ(f.recalculated, f.dirty_formulas)
         << spec.name << " round " << round;
+    if (!prunes) {
+      EXPECT_EQ(c.cells_skipped_cutoff, 0u) << spec.name << " round " << round;
+    }
     total_skipped += c.cells_skipped_cutoff;
 
     for (const Cell& cell : EnumerateCells(region)) {
@@ -483,7 +490,7 @@ void RunCutoffDifferential(const CutoffGraphSpec& spec,
   // The workload overwrites cells with fresh random values constantly;
   // a run where cutoff never pruned anything would mean the suite isn't
   // actually exercising the prune path.
-  EXPECT_GT(total_skipped, 0u) << spec.name;
+  if (prunes) EXPECT_GT(total_skipped, 0u) << spec.name;
 }
 
 class CutoffDifferentialTest
@@ -495,11 +502,12 @@ TEST_P(CutoffDifferentialTest, CellGranularWavesMatchFullRecalc) {
   RunCutoffDifferential(*GetParam(), options, /*parallel=*/true, 11u, 30);
 }
 
-TEST_P(CutoffDifferentialTest, RangeGranularFallbackMatchesFullRecalc) {
+TEST_P(CutoffDifferentialTest, OverEdgeBudgetRunsUncutAndMatchesFullRecalc) {
   SchedulerOptions options = EagerOptions();
   options.threads = 2;
-  options.max_edges = 2;  // Everything lands in range-granular mode.
-  RunCutoffDifferential(*GetParam(), options, /*parallel=*/true, 47u, 25);
+  options.max_edges = 2;  // Over-budget passes run serial-inline, uncut.
+  RunCutoffDifferential(*GetParam(), options, /*parallel=*/true, 47u, 25,
+                        /*prunes=*/false);
 }
 
 TEST_P(CutoffDifferentialTest, SerialEngineCutoffMatchesFullRecalc) {
