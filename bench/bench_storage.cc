@@ -1,5 +1,5 @@
-// Storage-engine benchmark: snapshot save/load latency and size for the
-// text vs binary backends over the bench corpora, WAL append throughput
+// Storage benchmark: snapshot save/load latency and size for the .tsheet
+// text format vs the binary snapshot format over the bench corpora, WAL append throughput
 // (with and without fsync), and durable edit throughput through the full
 // service with N concurrent mutating sessions — group commit on vs off
 // (the ISSUE 9 tentpole: >=5x at the smoke profile, >10x on multicore
@@ -20,11 +20,23 @@
 #include "eval/recalc.h"
 #include "service/workbook_service.h"
 #include "sheet/textio.h"
-#include "store/storage_engine.h"
+#include "store/snapshot.h"
 #include "store/wal.h"
 
 namespace taco::bench {
 namespace {
+
+/// One on-disk sheet format, driven through its codec directly: saves
+/// write atomically with fsync (WriteFileAtomic), loads do one bounded
+/// read (ReadFileLimited) and parse.
+struct Format {
+  const char* name;
+  std::string (*serialize)(const Sheet&);
+  Result<Sheet> (*parse)(std::string_view);
+};
+
+constexpr Format kTextFormat{"text", &WriteSheetText, &ReadSheetText};
+constexpr Format kBinaryFormat{"binary", &WriteSheetBinary, &ReadSheetBinary};
 
 struct BackendNumbers {
   double save_ms = 0;
@@ -38,30 +50,30 @@ std::string ScratchFile(const std::string& stem) {
       .string();
 }
 
-/// Saves + loads every sheet of `sheets` through `engine`, accumulating
-/// wall time and file size. Round-trip equality is asserted against the
-/// text serialization (the differential oracle) on the first sheet.
-BackendNumbers MeasureBackend(const StorageEngine& engine,
+/// Saves + loads every sheet of `sheets` in `format`, accumulating wall
+/// time and file size. Round-trip equality is asserted against the text
+/// serialization (the differential oracle) on the first sheet.
+BackendNumbers MeasureBackend(const Format& format,
                               const std::vector<CorpusSheet>& sheets) {
   BackendNumbers numbers;
-  std::string path = ScratchFile(std::string("bench_storage_") +
-                                 std::string(engine.name()));
+  std::string path =
+      ScratchFile(std::string("bench_storage_") + format.name);
   bool checked = false;
   for (const CorpusSheet& cs : sheets) {
     TimerMs save_timer;
-    if (!engine.SaveSnapshot(cs.sheet, path).ok()) {
-      std::fprintf(stderr, "save failed (%s)\n",
-                   std::string(engine.name()).c_str());
+    if (!WriteFileAtomic(path, format.serialize(cs.sheet)).ok()) {
+      std::fprintf(stderr, "save failed (%s)\n", format.name);
       continue;
     }
     numbers.save_ms += save_timer.ElapsedMs();
     numbers.bytes += std::filesystem::file_size(path);
     TimerMs load_timer;
-    auto loaded = engine.LoadSnapshot(path);
+    auto data = ReadFileLimited(path, kDefaultMaxSnapshotBytes);
+    Result<Sheet> loaded =
+        data.ok() ? format.parse(*data) : Result<Sheet>(data.status());
     numbers.load_ms += load_timer.ElapsedMs();
     if (!loaded.ok()) {
-      std::fprintf(stderr, "load failed (%s): %s\n",
-                   std::string(engine.name()).c_str(),
+      std::fprintf(stderr, "load failed (%s): %s\n", format.name,
                    loaded.status().ToString().c_str());
       continue;
     }
@@ -70,8 +82,7 @@ BackendNumbers MeasureBackend(const StorageEngine& engine,
       Sheet reference = cs.sheet;
       loaded->set_name(reference.name());
       if (WriteSheetText(*loaded) != WriteSheetText(reference)) {
-        std::fprintf(stderr, "ROUND-TRIP MISMATCH (%s)!\n",
-                     std::string(engine.name()).c_str());
+        std::fprintf(stderr, "ROUND-TRIP MISMATCH (%s)!\n", format.name);
       }
     }
   }
@@ -209,10 +220,8 @@ void RunDurableThroughput() {
 
 void RunCorpus(const CorpusProfile& profile) {
   std::vector<CorpusSheet> sheets = LoadCorpus(profile);
-  auto text = MakeStorageEngine("text").value();
-  auto binary = MakeStorageEngine("binary").value();
-  BackendNumbers text_numbers = MeasureBackend(*text, sheets);
-  BackendNumbers binary_numbers = MeasureBackend(*binary, sheets);
+  BackendNumbers text_numbers = MeasureBackend(kTextFormat, sheets);
+  BackendNumbers binary_numbers = MeasureBackend(kBinaryFormat, sheets);
 
   TablePrinter table({profile.name, "save_ms", "load_ms", "bytes"});
   auto row = [&](const char* name, const BackendNumbers& n) {
@@ -239,7 +248,7 @@ void RunCorpus(const CorpusProfile& profile) {
 
 int main() {
   using namespace taco::bench;
-  PrintHeader("Storage engines: snapshot save/load + WAL append",
+  PrintHeader("Storage formats: snapshot save/load + WAL append",
               "ISSUE 5 (storage tentpole)");
 
   RunCorpus(BenchEnron());

@@ -66,7 +66,7 @@ int ReplayScript(const Transport& call, const char* path) {
 int Tour(const Transport& call) {
   std::printf("== open two workbooks ==\n");
   Run(call, "OPEN sales");
-  Run(call, "OPEN forecast nocomp");
+  Run(call, "OPEN forecast");
   Run(call, "LIST");
 
   std::printf("\n== single edits (one recalc each) ==\n");
@@ -101,7 +101,7 @@ int Tour(const Transport& call) {
   std::string path =
       (std::filesystem::temp_directory_path() /
        ("taco_service_client_demo." + std::to_string(::getpid()) +
-        ".tsheet"))
+        ".tsnap"))
           .string();
   Run(call, "SAVE sales " + path);
   Run(call, "CLOSE sales");

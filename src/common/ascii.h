@@ -1,6 +1,6 @@
 // ASCII-only case helpers. Locale-free and safe on any char value
-// (std::tolower on a negative plain char is UB); protocol keywords,
-// backend names, and env values are all ASCII by contract.
+// (std::tolower on a negative plain char is UB); protocol keywords and
+// env values are all ASCII by contract.
 
 #ifndef TACO_COMMON_ASCII_H_
 #define TACO_COMMON_ASCII_H_

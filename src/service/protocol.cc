@@ -119,7 +119,6 @@ Result<Edit> ParseEditLine(std::string_view line) {
 // client-controlled and must never silently truncate the response.
 std::string SessionStatsReport(const SessionStats& stats) {
   std::string out = "OK session=" + stats.name;
-  out += " backend=" + stats.backend;
   out += " cells=" + std::to_string(stats.cells);
   out += " formulas=" + std::to_string(stats.formula_cells);
   out += " vertices=" + std::to_string(stats.graph_vertices);
@@ -143,7 +142,6 @@ std::string SessionStatsReport(const SessionStats& stats) {
 
 std::string SessionStorageReport(const SessionStats& stats) {
   std::string out = "OK storage session=" + stats.name;
-  out += " engine=" + stats.storage;
   out += " wal=" + (stats.wal_path.empty() ? "(none)" : stats.wal_path);
   out += " wal_records=" + std::to_string(stats.wal_records);
   out += " wal_bytes=" + std::to_string(stats.wal_bytes);
@@ -266,28 +264,25 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
 
   if (EqualsIgnoreCase(cmd, "OPEN")) {
     std::string_view name = NextToken(&rest);
-    std::string_view backend = NextToken(&rest);
-    if (name.empty()) return ErrUsage("OPEN <session> [backend]");
-    auto session = service_->Open(std::string(name), backend);
+    if (name.empty() || !NextToken(&rest).empty()) {
+      return ErrUsage("OPEN <session>");
+    }
+    auto session = service_->Open(std::string(name));
     if (!session.ok()) return ErrLine(session.status());
-    return "OK opened " + std::string(name) +
-           " backend=" + (*session)->Stats().backend;
+    return "OK opened " + std::string(name);
   }
   if (EqualsIgnoreCase(cmd, "LOAD")) {
     std::string_view name = NextToken(&rest);
     std::string_view path = NextToken(&rest);
-    std::string_view backend = NextToken(&rest);
-    if (name.empty() || path.empty()) {
-      return ErrUsage("LOAD <session> <path> [backend]");
+    if (name.empty() || path.empty() || !NextToken(&rest).empty()) {
+      return ErrUsage("LOAD <session> <path>");
     }
-    auto session = service_->Load(std::string(name), std::string(path),
-                                  backend);
+    auto session = service_->Load(std::string(name), std::string(path));
     if (!session.ok()) return ErrLine(session.status());
     SessionStats stats = (*session)->Stats();
     return "OK loaded " + stats.name + " cells=" +
            std::to_string(stats.cells) + " formulas=" +
-           std::to_string(stats.formula_cells) + " backend=" +
-           stats.backend;
+           std::to_string(stats.formula_cells);
   }
   if (EqualsIgnoreCase(cmd, "SAVE")) {
     std::string_view name = NextToken(&rest);
@@ -362,9 +357,8 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
     char storage[224];
     std::snprintf(
         storage, sizeof(storage),
-        "storage engine=%s checkpoints=%llu wal_records=%llu "
+        "storage checkpoints=%llu wal_records=%llu "
         "wal_bytes=%llu recoveries=%llu recovered_records=%llu\n",
-        std::string(service_->storage().name()).c_str(),
         static_cast<unsigned long long>(st.checkpoints.load()),
         static_cast<unsigned long long>(st.wal_records.load()),
         static_cast<unsigned long long>(st.wal_bytes.load()),

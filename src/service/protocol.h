@@ -5,12 +5,14 @@
 // "OK ...", "VALUE ...", or "ERR <Code>: ..." lines, except STATS, which
 // returns a multi-line report. The grammar (docs/architecture.md):
 //
-//   OPEN <session> [backend]          create or attach (recovers a WAL)
-//   LOAD <session> <path> [backend]   read a snapshot file (+ WAL tail)
-//   SAVE <session> [path]             write the bound / given path
+//   OPEN <session>                    create or attach (recovers a WAL)
+//   LOAD <session> <path>             read a binary snapshot or .tsheet
+//                                     file (+ WAL tail)
+//   SAVE <session> [path]             write a binary snapshot to the
+//                                     bound / given path
 //   CHECKPOINT <session> [path]       SAVE + WAL rotation, by its
 //                                     durability name
-//   STORAGE <session>                 storage engine / WAL report
+//   STORAGE <session>                 WAL / bound-path report
 //   CLOSE <session>                   drop from the registry (and WAL)
 //   SET <session> <cell> <value>      number, or text (quotes optional)
 //   FORMULA <session> <cell> <src>    formula without the leading '='

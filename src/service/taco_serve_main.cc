@@ -4,7 +4,7 @@
 // --listen <port> (src/net/socket_server.h): N concurrent clients share
 // the same sessions, metrics, and recalc pools the stdin loop uses.
 //
-//   $ ./taco_serve [--recalc-threads N] [--cutoff] [--backend NAME]
+//   $ ./taco_serve [--recalc-threads N] [--cutoff] [--wal-dir DIR]
 //                  [--max-resident N] [--metrics-port P] [--slow-op-ms T]
 //                  [--log-file PATH] [--log-level L] [--log-format F]
 //                  [script]
@@ -244,18 +244,6 @@ int main(int argc, char** argv) {
                      "integer); keeping %d\n",
                      text, options.recalc_threads);
       }
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      options.default_backend = argv[++i];
-    } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < argc) {
-      // Validate here: the service constructor cannot fail, and a typo
-      // silently falling back to text would be a durability surprise.
-      const char* store = argv[++i];
-      if (!MakeStorageEngine(store).ok()) {
-        std::fprintf(stderr, "--store needs 'text' or 'binary', got '%s'\n",
-                     store);
-        return 1;
-      }
-      options.store = store;
     } else if (std::strcmp(argv[i], "--wal-dir") == 0 && i + 1 < argc) {
       // Fail up front on an unusable directory: discovering it per-edit
       // would leave every acknowledged edit applied in memory but not
@@ -367,7 +355,7 @@ int main(int argc, char** argv) {
       std::fprintf(
           stderr,
           "usage: taco_serve [--recalc-threads N] [--cutoff] "
-          "[--backend NAME] [--store text|binary] [--wal-dir DIR] "
+          "[--wal-dir DIR] "
           "[--group-commit] [--group-commit-max-delay-us U] "
           "[--max-resident N] [--metrics-port PORT] [--slow-op-ms T] "
           "[--log-file PATH] [--log-level debug|info|warn|error] "
@@ -426,12 +414,9 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "taco_serve ready (recalc_workers=%d cutoff=%s "
-               "backend=%s store=%s wal=%s group_commit=%s "
-               "max_resident=%zu)\n",
+               "wal=%s group_commit=%s max_resident=%zu)\n",
                service.recalc_threads(),
                options.cutoff ? "on" : "off",
-               options.default_backend.c_str(),
-               std::string(service.storage().name()).c_str(),
                options.wal_dir.empty() ? "(off)" : options.wal_dir.c_str(),
                options.group_commit && !options.wal_dir.empty() ? "on"
                                                                 : "off",

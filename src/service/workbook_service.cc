@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/clock.h"
-#include "sheet/textio.h"
+#include "store/snapshot.h"
 #include "store/wal.h"
 
 namespace taco {
@@ -21,13 +21,6 @@ WorkbookService::WorkbookService(WorkbookServiceOptions options)
   for (int i = 0; i < shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  // An unknown store name falls back to text (the constructor cannot
-  // fail); taco_serve validates its --store flag before getting here.
-  auto engine = MakeStorageEngine(options_.store, options_.storage);
-  if (!engine.ok()) {
-    engine = MakeStorageEngine("text", options_.storage);
-  }
-  storage_ = std::move(*engine);
   if (wal_enabled()) {
     std::error_code ec;
     std::filesystem::create_directories(options_.wal_dir, ec);
@@ -124,27 +117,22 @@ WalOptions WorkbookService::WalOptionsFor(const std::string& name) const {
   return wal;
 }
 
-std::optional<WorkbookService::ParkedEntry> WorkbookService::TakeParked(
+std::optional<std::string> WorkbookService::TakeParked(
     const std::string& name) {
   std::lock_guard<std::mutex> lock(parked_mu_);
   auto it = parked_.find(name);
   if (it == parked_.end()) return std::nullopt;
-  ParkedEntry entry = std::move(it->second);
+  std::string path = std::move(it->second);
   parked_.erase(it);
-  return entry;
+  return path;
 }
 
 Result<std::shared_ptr<WorkbookSession>> WorkbookService::MakeSession(
-    const std::string& name, Sheet sheet, std::string_view backend) {
-  std::string key =
-      backend.empty() ? options_.default_backend : std::string(backend);
-  auto graph = MakeGraphBackend(key);
-  if (!graph.ok()) return graph.status();
-  TACO_RETURN_IF_ERROR(BuildGraphFromSheet(sheet, graph->get()));
+    const std::string& name, Sheet sheet) {
+  TacoGraph graph;
+  TACO_RETURN_IF_ERROR(BuildGraphFromSheet(sheet, &graph));
   auto session = std::make_shared<WorkbookSession>(
-      name, std::move(sheet), std::move(*graph), &metrics_);
-  session->set_backend_key(std::move(key));
-  session->ConfigureStorage(storage_.get());
+      name, std::move(sheet), std::move(graph), &metrics_);
   session->set_logger(options_.logger);
   if (wal_enabled()) {
     // Lazy arming: a fresh session creates its log file on its first
@@ -164,48 +152,31 @@ Result<std::shared_ptr<WorkbookSession>> WorkbookService::MakeSession(
 Result<std::shared_ptr<WorkbookSession>>
 WorkbookService::LoadSessionFromStorage(const std::string& name,
                                         const std::string& base_path,
-                                        std::string_view backend,
                                         bool replay_wal) {
   const std::string wal_path = WalPathFor(name);
   const bool wal_exists =
       !wal_path.empty() && std::filesystem::exists(wal_path);
   std::string snapshot_path = base_path;
-  std::string backend_key(backend);
   if (replay_wal && wal_exists) {
     auto header = WriteAheadLog::PeekHeader(wal_path);
     if (!header.ok()) return header.status();
     if (base_path.empty()) {
-      // OPEN-style (crash) recovery: the log knows its own base
-      // snapshot AND the backend the session was created with — like a
-      // parked reload, recovery must not let the first opener's
-      // requested backend change an existing session's implementation.
+      // OPEN-style (crash) recovery: the log knows its own base snapshot.
       snapshot_path = header->snapshot_path;
-      if (!header->backend.empty()) backend_key = header->backend;
-    } else if (header->snapshot_path == base_path) {
-      // LOAD of the very file this log extends: recovery, not a fresh
-      // import. Unless the caller explicitly chose a backend, restore
-      // the one the log records — a recovered session must not silently
-      // come back on the default implementation.
-      if (backend_key.empty()) backend_key = header->backend;
-    } else {
+    } else if (header->snapshot_path != base_path) {
       // LOAD of a file this log does not extend: the caller's explicit
       // file wins and the stale log is reset below. (Replaying edits
       // recorded against a different snapshot would corrupt the sheet.)
+      // LOAD of the very file the log extends is recovery: it replays.
       replay_wal = false;
     }
   }
 
   Sheet sheet;
   if (!snapshot_path.empty()) {
-    SnapshotMeta snapshot_meta;
-    auto loaded = storage_->LoadSnapshot(snapshot_path, &snapshot_meta);
+    auto loaded = LoadSnapshotFile(snapshot_path);
     if (!loaded.ok()) return loaded.status();
     sheet = std::move(*loaded);
-    // The snapshot itself may record the saving session's backend (the
-    // binary format does). It ranks below an explicit caller choice and
-    // below the WAL header — the log is newer than its base snapshot —
-    // but beats silently falling back to the service default.
-    if (backend_key.empty()) backend_key = snapshot_meta.backend;
   }
 
   std::unique_ptr<WriteAheadLog> wal;
@@ -229,16 +200,15 @@ WorkbookService::LoadSessionFromStorage(const std::string& name,
     wal = std::move(*opened);
   }
 
-  auto session = MakeSession(name, std::move(sheet), backend_key);
+  auto session = MakeSession(name, std::move(sheet));
   if (!session.ok()) return session;
   if (!wal_path.empty() && wal == nullptr) {
     // Create (or reset, in the LOAD-mismatch case) the log only now
     // that the session definitely exists: a failed load/build must
     // neither destroy an existing log's acknowledged records nor leave
     // a stray log that would flip a later OPEN into recovery mode.
-    auto created = WriteAheadLog::Create(
-        wal_path, WalOptionsFor(name),
-        {snapshot_path, (*session)->backend_key()});
+    auto created =
+        WriteAheadLog::Create(wal_path, WalOptionsFor(name), {snapshot_path});
     if (!created.ok()) return created.status();
     wal = std::move(*created);
   }
@@ -252,7 +222,6 @@ WorkbookService::LoadSessionFromStorage(const std::string& name,
     logger->Log(obs::LogLevel::kInfo, "session.load",
                 {{"session", name},
                  {"path", snapshot_path},
-                 {"backend", (*session)->backend_key()},
                  {"recovered_records", recovery.records}});
     if (recovery.records > 0) {
       logger->Log(obs::LogLevel::kInfo, "session.recover",
@@ -265,8 +234,7 @@ WorkbookService::LoadSessionFromStorage(const std::string& name,
 }
 
 Result<std::shared_ptr<WorkbookSession>> WorkbookService::OpenImpl(
-    const std::string& name, std::string_view backend,
-    bool create_if_missing) {
+    const std::string& name, bool create_if_missing) {
   // The lookup/create/claim transition runs under the shard lock, but
   // the HEAVY part of a parked reload — file I/O and graph build — runs
   // outside it behind an InFlight placeholder, so a big reload stalls
@@ -276,7 +244,7 @@ Result<std::shared_ptr<WorkbookSession>> WorkbookService::OpenImpl(
   Shard& shard = ShardFor(name);
   for (;;) {
     std::shared_ptr<InFlight> flight;
-    std::optional<ParkedEntry> parked;
+    std::optional<std::string> parked;
     bool recover_from_wal = false;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
@@ -289,11 +257,7 @@ Result<std::shared_ptr<WorkbookSession>> WorkbookService::OpenImpl(
       if (pending != shard.pending.end()) {
         flight = pending->second;  // Someone's load; wait below, unlocked.
       } else {
-        // Parked? Reload from the remembered file — always with the
-        // backend the session was created with, exactly like a resident
-        // hit ignores a requested backend: `backend` only applies when a
-        // session is CREATED, so OPEN's effect cannot depend on eviction
-        // timing.
+        // Parked? Reload from the remembered file.
         parked = TakeParked(name);
         if (!parked.has_value()) {
           // Crash recovery: a WAL left by a previous process means this
@@ -311,15 +275,14 @@ Result<std::shared_ptr<WorkbookSession>> WorkbookService::OpenImpl(
             // Creating an EMPTY session does no file I/O and builds no
             // graph (its WAL is armed lazily), so it stays under the
             // lock and the lookup-or-create transition remains atomic.
-            auto session = MakeSession(name, Sheet(), backend);
+            auto session = MakeSession(name, Sheet());
             if (!session.ok()) return session;
             shard.sessions.emplace(name, *session);
             resident_count_.fetch_add(1);
             if (obs::Logger* logger = options_.logger;
                 logger != nullptr) {
               logger->Log(obs::LogLevel::kInfo, "session.open",
-                          {{"session", name},
-                           {"backend", (*session)->backend_key()}});
+                          {{"session", name}});
             }
             return session;
           }
@@ -349,10 +312,9 @@ Result<std::shared_ptr<WorkbookSession>> WorkbookService::OpenImpl(
     // same reason.)
     auto result =
         parked.has_value()
-            ? LoadSessionFromStorage(name, parked->path, parked->backend,
+            ? LoadSessionFromStorage(name, *parked,
                                      /*replay_wal=*/wal_enabled())
-            : LoadSessionFromStorage(name, "", backend,
-                                     /*replay_wal=*/true);
+            : LoadSessionFromStorage(name, "", /*replay_wal=*/true);
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       shard.pending.erase(name);
@@ -375,9 +337,9 @@ Result<std::shared_ptr<WorkbookSession>> WorkbookService::OpenImpl(
 }
 
 Result<std::shared_ptr<WorkbookSession>> WorkbookService::Open(
-    const std::string& name, std::string_view backend) {
+    const std::string& name) {
   auto start = SteadyNow();
-  auto result = OpenImpl(name, backend, /*create_if_missing=*/true);
+  auto result = OpenImpl(name, /*create_if_missing=*/true);
   metrics_.Record(ServiceOp::kOpen, NsSince(start), result.ok());
   if (result.ok()) MaybeEvict();
   return result;
@@ -385,14 +347,13 @@ Result<std::shared_ptr<WorkbookSession>> WorkbookService::Open(
 
 Result<std::shared_ptr<WorkbookSession>> WorkbookService::Get(
     const std::string& name) {
-  auto result = OpenImpl(name, "", /*create_if_missing=*/false);
+  auto result = OpenImpl(name, /*create_if_missing=*/false);
   if (result.ok()) MaybeEvict();  // A parked reload may breach the cap.
   return result;
 }
 
 Result<std::shared_ptr<WorkbookSession>> WorkbookService::Load(
-    const std::string& name, const std::string& path,
-    std::string_view backend) {
+    const std::string& name, const std::string& path) {
   auto start = SteadyNow();
   auto result = [&]() -> Result<std::shared_ptr<WorkbookSession>> {
     Shard& shard = ShardFor(name);
@@ -413,7 +374,7 @@ Result<std::shared_ptr<WorkbookSession>> WorkbookService::Load(
     // top (LOAD performs recovery too); a WAL recorded against some
     // OTHER snapshot is reset — the operator explicitly chose this file.
     auto loaded_result =
-        LoadSessionFromStorage(name, path, backend, /*replay_wal=*/true);
+        LoadSessionFromStorage(name, path, /*replay_wal=*/true);
     {
       std::lock_guard<std::mutex> lock(shard.mu);
       shard.pending.erase(name);
@@ -449,7 +410,7 @@ Status WorkbookService::Save(const std::string& name,
     std::lock_guard<std::mutex> lock(parked_mu_);
     auto it = parked_.find(name);
     if (it != parked_.end() &&
-        (path.empty() || path == it->second.path)) {
+        (path.empty() || path == it->second)) {
       metrics_.Record(ServiceOp::kSave, 0, /*ok=*/true);
       return Status::OK();
     }
@@ -624,8 +585,7 @@ void WorkbookService::MaybeEvict() {
       shard.sessions.erase(it);
       resident_count_.fetch_sub(1);
       std::lock_guard<std::mutex> parked_lock(parked_mu_);
-      parked_[victim->name()] = {victim->bound_path(),
-                                 victim->backend_key()};
+      parked_[victim->name()] = victim->bound_path();
     }
     evictions_.fetch_add(1);
     if (obs::Logger* logger = options_.logger; logger != nullptr) {

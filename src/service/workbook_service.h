@@ -43,7 +43,6 @@ namespace taco {
 struct WorkbookServiceOptions {
   int shards = 8;                    ///< Session-map shards (>= 1).
   size_t max_resident_sessions = 64; ///< LRU bound; 0 = unbounded.
-  std::string default_backend = "taco";  ///< Graph for OPEN without one.
 
   /// Width of the shared parallel-recalc pool. 0 means no pool: every
   /// session recalcs through its engine's own scheduler at width 1.
@@ -58,20 +57,11 @@ struct WorkbookServiceOptions {
   /// Works with or without the wave scheduler.
   bool cutoff = false;
 
-  /// Persistence backend for every session: "text" (.tsheet, the
-  /// compatibility format) or "binary" (compact CRC-checked snapshots).
-  /// Unknown names fall back to text (taco_serve validates its flag
-  /// before construction).
-  std::string store = "text";
-
   /// Directory for per-session write-ahead logs. Empty disables WAL:
   /// no durability between saves, exactly the pre-storage behavior.
   /// When set, every acknowledged edit is logged (and fsynced) before
   /// its response, and OPEN/LOAD recover snapshot + WAL tail.
   std::string wal_dir;
-
-  /// Snapshot load bounds (max file size).
-  StorageOptions storage;
 
   /// WAL tuning (fsync discipline, record bounds).
   WalOptions wal;
@@ -117,22 +107,18 @@ class WorkbookService {
  public:
   explicit WorkbookService(WorkbookServiceOptions options = {});
 
-  /// Returns the session named `name`, creating an empty one (with
-  /// `backend`, or the default) if it does not exist. Reloads a parked
-  /// session from its file. `backend` applies only when the session is
-  /// created; an existing session — resident or parked — keeps the
-  /// backend it was created with (close it to change backends).
-  Result<std::shared_ptr<WorkbookSession>> Open(const std::string& name,
-                                                std::string_view backend = "");
+  /// Returns the session named `name`, creating an empty one if it does
+  /// not exist. Reloads a parked session from its file, and recovers a
+  /// session whose WAL a previous process left behind.
+  Result<std::shared_ptr<WorkbookSession>> Open(const std::string& name);
 
   /// Returns an existing (or parked) session; NotFound otherwise.
   Result<std::shared_ptr<WorkbookSession>> Get(const std::string& name);
 
-  /// Loads a .tsheet file into a new session bound to `path`.
-  /// AlreadyExists when `name` is taken.
+  /// Loads a binary snapshot or a .tsheet file (LoadSnapshotFile) into
+  /// a new session bound to `path`. AlreadyExists when `name` is taken.
   Result<std::shared_ptr<WorkbookSession>> Load(const std::string& name,
-                                                const std::string& path,
-                                                std::string_view backend = "");
+                                                const std::string& path);
 
   /// Saves the named session (to `path`, or its bound path).
   Status Save(const std::string& name, const std::string& path = "");
@@ -163,9 +149,6 @@ class WorkbookService {
     return options_.annotate_errors_with_rid;
   }
 
-  /// The storage engine every session persists through.
-  StorageEngine& storage() { return *storage_; }
-  const StorageEngine& storage() const { return *storage_; }
   bool wal_enabled() const { return !options_.wal_dir.empty(); }
 
   /// The WAL file a session named `name` uses (empty when WAL is off).
@@ -200,22 +183,15 @@ class WorkbookService {
     std::unordered_map<std::string, std::shared_ptr<InFlight>> pending;
   };
 
-  /// What the registry remembers about an evicted session: enough to
-  /// transparently bring it back exactly as it was.
-  struct ParkedEntry {
-    std::string path;
-    std::string backend;
-  };
-
   Shard& ShardFor(const std::string& name);
   const Shard& ShardFor(const std::string& name) const;
 
   /// Stamps `session` with the next LRU tick.
   void Touch(WorkbookSession& session);
 
-  /// Creates a session around `sheet` with `backend`, building its graph.
+  /// Creates a session around `sheet`, building its TacoGraph.
   Result<std::shared_ptr<WorkbookSession>> MakeSession(
-      const std::string& name, Sheet sheet, std::string_view backend);
+      const std::string& name, Sheet sheet);
 
   /// The storage-side of OPEN/LOAD/reload, run OUTSIDE registry locks:
   /// loads the base snapshot (WAL header path, or `base_path` when
@@ -226,20 +202,19 @@ class WorkbookService {
   /// statuses and the session is not created.
   Result<std::shared_ptr<WorkbookSession>> LoadSessionFromStorage(
       const std::string& name, const std::string& base_path,
-      std::string_view backend, bool replay_wal);
+      bool replay_wal);
 
   /// The shared lookup/reload/create transition behind Open and Get,
   /// atomic per shard. With `create_if_missing` false, a name that is
   /// neither resident nor parked is NotFound instead of created.
   Result<std::shared_ptr<WorkbookSession>> OpenImpl(const std::string& name,
-                                                    std::string_view backend,
                                                     bool create_if_missing);
 
   /// If over the residency cap, saves + parks LRU file-bound sessions.
   void MaybeEvict();
 
-  /// Looks up (and erases) the parked entry for `name`.
-  std::optional<ParkedEntry> TakeParked(const std::string& name);
+  /// Looks up (and erases) the parked snapshot path of `name`.
+  std::optional<std::string> TakeParked(const std::string& name);
 
   /// The per-session WAL options: the service-wide tuning plus (when a
   /// logger is configured) an observer that turns rotations and append
@@ -262,8 +237,10 @@ class WorkbookService {
   /// fast path) doesn't have to lock every shard just to count.
   std::atomic<size_t> resident_count_{0};
 
+  /// Evicted sessions: name -> the snapshot path they were saved to, all
+  /// a transparent reload needs to bring one back exactly as it was.
   mutable std::mutex parked_mu_;
-  std::unordered_map<std::string, ParkedEntry> parked_;
+  std::unordered_map<std::string, std::string> parked_;
 
   /// Sessions whose eviction save failed, with the op epoch at failure:
   /// skipped by later sweeps until they change again, so a session with
@@ -278,7 +255,6 @@ class WorkbookService {
   std::atomic<bool> evicting_{false};
 
   ServiceMetrics metrics_;
-  std::unique_ptr<StorageEngine> storage_;
 
   /// Dedicated pool and scheduler for intra-session parallel recalc,
   /// shared by all sessions (the scheduler holds no per-pass state).

@@ -4,16 +4,10 @@
 #include <utility>
 
 #include "common/a1.h"
-#include "common/ascii.h"
 #include "common/clock.h"
 #include "obs/rid.h"
-#include "baselines/antifreeze.h"
-#include "baselines/calcgraph.h"
-#include "baselines/cellgraph.h"
-#include "baselines/excellike.h"
-#include "graph/nocomp_graph.h"
 #include "sheet/textio.h"
-#include "taco/taco_graph.h"
+#include "store/snapshot.h"
 
 namespace taco {
 namespace {
@@ -52,45 +46,12 @@ std::string MutationDetail(ServiceOp op, std::span<const Edit> edits) {
 
 }  // namespace
 
-Result<std::unique_ptr<DependencyGraph>> MakeGraphBackend(
-    std::string_view backend) {
-  std::string key = ToLowerAscii(backend);
-  if (key.empty() || key == "taco" || key == "taco-full") {
-    return std::unique_ptr<DependencyGraph>(
-        std::make_unique<TacoGraph>(TacoOptions::Full()));
-  }
-  if (key == "taco-inrow") {
-    return std::unique_ptr<DependencyGraph>(
-        std::make_unique<TacoGraph>(TacoOptions::InRow()));
-  }
-  if (key == "nocomp") {
-    return std::unique_ptr<DependencyGraph>(std::make_unique<NoCompGraph>());
-  }
-  if (key == "excellike") {
-    return std::unique_ptr<DependencyGraph>(
-        std::make_unique<ExcelLikeGraph>());
-  }
-  if (key == "calcgraph") {
-    return std::unique_ptr<DependencyGraph>(std::make_unique<CalcGraph>());
-  }
-  if (key == "cellgraph") {
-    return std::unique_ptr<DependencyGraph>(std::make_unique<CellGraph>());
-  }
-  if (key == "antifreeze") {
-    return std::unique_ptr<DependencyGraph>(
-        std::make_unique<AntifreezeGraph>());
-  }
-  return Status::InvalidArgument("unknown graph backend '" +
-                                 std::string(backend) + "'");
-}
-
 WorkbookSession::WorkbookSession(std::string name, Sheet sheet,
-                                 std::unique_ptr<DependencyGraph> graph,
-                                 ServiceMetrics* metrics)
+                                 TacoGraph graph, ServiceMetrics* metrics)
     : name_(std::move(name)),
       sheet_(std::move(sheet)),
       graph_(std::move(graph)),
-      engine_(&sheet_, graph_.get()),
+      engine_(&sheet_, &graph_),
       metrics_(metrics),
       serial_(session_serial_counter.fetch_add(1) + 1) {
   sheet_.set_name(name_);
@@ -101,11 +62,9 @@ Status WorkbookSession::LogToWal(std::span<const Edit> edits,
   if (edits.empty()) return Status::OK();
   if (wal_ == nullptr) {
     if (wal_path_.empty()) return Status::OK();  // WAL disabled.
-    // Lazy creation: the header records the CURRENT bound path (so
-    // recovery knows which snapshot these records extend) and the graph
-    // backend (so recovery rebuilds the same implementation).
-    auto wal = WriteAheadLog::Create(wal_path_, wal_options_,
-                                     {bound_path_, backend_key_});
+    // Lazy creation: the header records the CURRENT bound path, so
+    // recovery knows which snapshot these records extend.
+    auto wal = WriteAheadLog::Create(wal_path_, wal_options_, {bound_path_});
     if (!wal.ok()) return wal.status();
     wal_ = std::move(*wal);
   }
@@ -436,11 +395,6 @@ std::string WorkbookSession::Snapshot() const {
   return WriteSheetText(sheet_);
 }
 
-void WorkbookSession::ConfigureStorage(StorageEngine* engine) {
-  std::lock_guard<std::mutex> lock(mu_);
-  storage_ = engine;
-}
-
 void WorkbookSession::ArmWal(std::string wal_path, WalOptions options) {
   std::lock_guard<std::mutex> lock(mu_);
   wal_path_ = std::move(wal_path);
@@ -468,10 +422,7 @@ Status WorkbookSession::Save(const std::string& path, ServiceOp op) {
       return Status::InvalidArgument("session '" + name_ +
                                      "' has no bound path; pass one to SAVE");
     }
-    Status s = storage_ != nullptr
-                   ? storage_->SaveSnapshot(sheet_, target, {backend_key_})
-                   : SaveSheetFile(sheet_, target);
-    if (!s.ok()) return s;
+    TACO_RETURN_IF_ERROR(SaveSheetBinaryFile(sheet_, target));
     // Rotate the WAL: its records are now folded into the snapshot, and
     // the fresh header names it so recovery starts from the right base.
     // A failed rotation is surfaced as the checkpoint's error — and
@@ -480,13 +431,12 @@ Status WorkbookSession::Save(const std::string& path, ServiceOp op) {
     // lost-data state either way: the old log simply replays onto the
     // OLD snapshot path it names, reproducing the acknowledged state.
     if (wal_ != nullptr) {
-      TACO_RETURN_IF_ERROR(wal_->Rotate({target, backend_key_}));
+      TACO_RETURN_IF_ERROR(wal_->Rotate({target}));
       wal_live_records_ = 0;
     } else if (!wal_path_.empty()) {
       // Nothing logged yet, but a stale file from a previous incarnation
       // may exist (e.g. recovery was skipped by a LOAD); re-point it.
-      auto wal = WriteAheadLog::Create(wal_path_, wal_options_,
-                                       {target, backend_key_});
+      auto wal = WriteAheadLog::Create(wal_path_, wal_options_, {target});
       if (!wal.ok()) return wal.status();
       wal_ = std::move(*wal);
       wal_live_records_ = 0;
@@ -536,12 +486,11 @@ SessionStats WorkbookSession::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   SessionStats stats;
   stats.name = name_;
-  stats.backend = graph_->Name();
   stats.path = bound_path_;
   stats.cells = sheet_.cell_count();
   stats.formula_cells = sheet_.formula_cell_count();
-  stats.graph_vertices = graph_->NumVertices();
-  stats.graph_edges = graph_->NumEdges();
+  stats.graph_vertices = graph_.NumVertices();
+  stats.graph_edges = graph_.NumEdges();
   // Mutations count into ops_ directly; reads are folded in from their
   // own counters so the read path never touches a second shared line.
   uint64_t reads_versioned = 0;
@@ -557,7 +506,6 @@ SessionStats WorkbookSession::Stats() const {
   stats.max_wave_cells = max_wave_cells_;
   stats.cutoff = engine_.cutoff();
   stats.cells_skipped = cells_skipped_;
-  stats.storage = storage_ != nullptr ? std::string(storage_->name()) : "text";
   stats.wal_path = wal_path_;
   stats.wal_records = wal_live_records_;
   stats.wal_bytes = wal_ != nullptr ? wal_->bytes() : 0;

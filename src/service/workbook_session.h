@@ -1,5 +1,5 @@
-// One live workbook: Sheet + pluggable DependencyGraph + RecalcEngine
-// behind a per-session mutex, with an MVCC read path beside it.
+// One live workbook: Sheet + TacoGraph + RecalcEngine behind a
+// per-session mutex, with an MVCC read path beside it.
 //
 // A session is the unit of isolation in the workbook service: every
 // MUTATION takes the session lock, so concurrent writers of one
@@ -29,19 +29,17 @@
 #include <vector>
 
 #include "eval/recalc.h"
-#include "graph/dependency_graph.h"
 #include "obs/log.h"
 #include "service/metrics.h"
 #include "sheet/sheet.h"
-#include "store/storage_engine.h"
 #include "store/wal.h"
+#include "taco/taco_graph.h"
 
 namespace taco {
 
 /// Point-in-time counters of one session (STATS <name>).
 struct SessionStats {
   std::string name;
-  std::string backend;        ///< Graph implementation name.
   std::string path;           ///< Bound file, empty when in-memory only.
   size_t cells = 0;
   size_t formula_cells = 0;
@@ -56,7 +54,6 @@ struct SessionStats {
   uint64_t max_wave_cells = 0;  ///< Largest wave any recalc produced.
   bool cutoff = false;          ///< Value-change cutoff enabled.
   uint64_t cells_skipped = 0;   ///< Cumulative cells pruned by cutoff.
-  std::string storage;          ///< Storage engine name ("text"/"binary").
   std::string wal_path;         ///< WAL file, empty when WAL is disabled.
   uint64_t wal_records = 0;     ///< Records live in the WAL right now.
   uint64_t wal_bytes = 0;       ///< Current WAL file size.
@@ -84,8 +81,7 @@ class WorkbookSession {
   /// Takes ownership of `graph`, which must already reflect `sheet`
   /// (callers use BuildGraphFromSheet; an empty sheet needs no build).
   /// `metrics` is optional and must outlive the session when given.
-  WorkbookSession(std::string name, Sheet sheet,
-                  std::unique_ptr<DependencyGraph> graph,
+  WorkbookSession(std::string name, Sheet sheet, TacoGraph graph,
                   ServiceMetrics* metrics = nullptr);
 
   WorkbookSession(const WorkbookSession&) = delete;
@@ -136,10 +132,6 @@ class WorkbookSession {
   /// Serializes the sheet in .tsheet format.
   std::string Snapshot() const;
 
-  /// Plugs in the service's shared storage engine; `engine` must outlive
-  /// the session. Without one, Save falls back to the text format.
-  void ConfigureStorage(StorageEngine* engine);
-
   /// Arms write-ahead logging: the log file is created lazily (its
   /// header recording the bound path of that moment) on the first
   /// mutation, so fresh sessions pay no I/O until they change. Called by
@@ -154,10 +146,10 @@ class WorkbookSession {
 
   /// Saves to `path` (or the bound path when empty) and clears the dirty
   /// flag. Binding: a successful save remembers `path` for next time.
-  /// With storage configured this is a full checkpoint: snapshot via
-  /// temp-then-rename+fsync, then WAL rotation (the fresh log's header
-  /// records the snapshot path), so recovery never replays edits the
-  /// snapshot already holds.
+  /// Every save is a full checkpoint: a binary snapshot via
+  /// temp-then-rename+fsync (SaveSheetBinaryFile), then WAL rotation (the
+  /// fresh log's header records the snapshot path), so recovery never
+  /// replays edits the snapshot already holds.
   /// `op` selects the metrics row this save records under — SAVE and
   /// CHECKPOINT are the same code path but distinct operator actions,
   /// and each must be visible in its own STATS/exposition row.
@@ -183,12 +175,6 @@ class WorkbookSession {
   /// Monotonic count of operations served; the evictor compares epochs
   /// around save-and-park to detect a session that became hot again.
   uint64_t op_epoch() const { return op_epoch_.load(); }
-
-  /// The MakeGraphBackend key this session was created with. Set once by
-  /// the service before the session is published; parking remembers it
-  /// so a reload keeps the same graph implementation.
-  const std::string& backend_key() const { return backend_key_; }
-  void set_backend_key(std::string key) { backend_key_ = std::move(key); }
 
   /// Attaches the service's structured logger (may be null). Like
   /// `metrics`, the pointer is read without the session lock on the
@@ -234,9 +220,8 @@ class WorkbookSession {
   const std::string name_;
   mutable std::mutex mu_;
   Sheet sheet_;
-  std::unique_ptr<DependencyGraph> graph_;
+  TacoGraph graph_;
   RecalcEngine engine_;
-  StorageEngine* storage_ = nullptr;    ///< Shared; owned by the service.
   std::unique_ptr<WriteAheadLog> wal_;  ///< Open log; null until first use.
   std::string wal_path_;                ///< Armed path; empty = disabled.
   WalOptions wal_options_;
@@ -265,7 +250,6 @@ class WorkbookSession {
   uint64_t cells_skipped_ = 0;
   ServiceMetrics* metrics_;
   obs::Logger* logger_ = nullptr;  ///< Shared; owned by the caller.
-  std::string backend_key_;
   std::atomic<uint64_t> last_access_{0};
   std::atomic<uint64_t> op_epoch_{0};
   /// The MVCC slot: writers store the freshly built version under mu_
@@ -292,12 +276,6 @@ class WorkbookSession {
   static constexpr size_t kReadCountShards = 8;
   PaddedCount reads_versioned_[kReadCountShards];
 };
-
-/// Creates the graph backend selected by `backend` ("taco", "taco-inrow",
-/// "nocomp", "excellike", "calcgraph", "cellgraph", "antifreeze");
-/// case-insensitive. Fails with InvalidArgument on unknown names.
-Result<std::unique_ptr<DependencyGraph>> MakeGraphBackend(
-    std::string_view backend);
 
 }  // namespace taco
 

@@ -134,15 +134,14 @@ Result<Sheet> ReadSheetText(std::string_view text) {
 }
 
 Status SaveSheetFile(const Sheet& sheet, const std::string& path) {
-  // Write-then-rename so a concurrent load (the workbook service reloads
-  // parked sessions while others save) never observes a partial file. The
-  // temp name is unique per writer so concurrent saves to one path can't
-  // interleave inside the same temp file; last rename wins. fsync before
-  // the rename and sync the directory after it: this is the durability
-  // floor every caller gets — the session checkpoint counts on the save
-  // being on disk before the WAL rotates, and direct callers (examples,
-  // the differential oracle) deserve a crash-safe save too. The storage
-  // engines' WriteFileAtomic keeps the same contract.
+  // Write-then-rename so a concurrent load never observes a partial
+  // file. The temp name is unique per writer so concurrent saves to one
+  // path can't interleave inside the same temp file; last rename wins.
+  // fsync before the rename and sync the directory after it: this is the
+  // durability floor every caller gets — direct callers (examples, the
+  // differential oracle) deserve a crash-safe save too. The storage
+  // layer's WriteFileAtomic, which session saves use, keeps the same
+  // contract.
   static std::atomic<uint64_t> save_counter{0};
   const std::string tmp_path = path + ".tmp." +
                                std::to_string(::getpid()) + "." +

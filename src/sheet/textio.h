@@ -39,8 +39,8 @@ Result<Sheet> ReadSheetText(std::string_view text);
 Status SaveSheetFile(const Sheet& sheet, const std::string& path);
 
 /// Default refusal threshold for LoadSheetFile: finite, so a runaway or
-/// hostile file can never drive an unbounded read (the storage engines
-/// apply their own configurable bound on top).
+/// hostile file can never drive an unbounded read (the service's loader,
+/// LoadSnapshotFile, applies the same bound).
 inline constexpr uint64_t kMaxSheetFileBytes = 512ull << 20;
 
 /// Loads a .tsheet file. The sheet's name is set to the file stem.

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "formula/parser.h"
+#include "sheet/textio.h"
 #include "store/bytes.h"
 #include "store/checksum.h"
 
@@ -20,9 +21,9 @@ namespace taco {
 namespace {
 
 constexpr std::string_view kMagic = "TSNP";
-// Version 2 added the graph-backend key to the meta section (recovery
-// restores the saving session's graph implementation). Version-1 files
-// still load — they simply report no backend.
+// Version 2 added a graph-backend string to the meta section. Every
+// session now runs on TACO, so writers leave it empty and readers skip
+// it; version-1 files, which lack it, still load.
 constexpr uint32_t kVersion = 2;
 constexpr uint32_t kMinReadVersion = 1;
 
@@ -258,7 +259,7 @@ bool LooksLikeBinarySnapshot(std::string_view data) {
   return data.substr(0, kMagic.size()) == kMagic;
 }
 
-std::string WriteSheetBinary(const Sheet& sheet, std::string_view backend) {
+std::string WriteSheetBinary(const Sheet& sheet) {
   // One pass to intern strings (text values AND distinct formula texts)
   // and distinct host-relative ASTs, collecting the cell records in
   // column-major order as we go. Cells are delta-encoded against the
@@ -334,7 +335,7 @@ std::string WriteSheetBinary(const Sheet& sheet, std::string_view backend) {
   meta.Str(sheet.name());
   meta.U64(cell_count);
   meta.U64(formula_cells);
-  meta.Str(backend);  // Since version 2.
+  meta.Str("");  // Since version 2: the unused backend slot.
 
   std::string strings_payload;
   ByteWriter strtab(&strings_payload);
@@ -366,8 +367,7 @@ std::string WriteSheetBinary(const Sheet& sheet, std::string_view backend) {
   return out;
 }
 
-Result<Sheet> ReadSheetBinary(std::string_view data, std::string* backend) {
-  if (backend != nullptr) backend->clear();
+Result<Sheet> ReadSheetBinary(std::string_view data) {
   // Header: magic, version, section count, CRC over those 12 bytes.
   if (data.size() < 16) {
     if (!LooksLikeBinarySnapshot(data)) {
@@ -427,12 +427,11 @@ Result<Sheet> ReadSheetBinary(std::string_view data, std::string* backend) {
       !meta.U64(&formula_cells)) {
     return Corrupt("malformed meta section");
   }
-  std::string_view recorded_backend;
-  if (version >= 2 && !meta.Str(&recorded_backend)) {
+  std::string_view unused_backend;
+  if (version >= 2 && !meta.Str(&unused_backend)) {
     return Corrupt("malformed meta section");
   }
   if (!meta.AtEnd()) return Corrupt("malformed meta section");
-  if (backend != nullptr) *backend = std::string(recorded_backend);
 
   // strtab.
   ByteReader strtab(payloads[kSectionStrings]);
@@ -658,16 +657,15 @@ Result<std::string> ReadFileLimited(const std::string& path,
   return data;
 }
 
-Status SaveSheetBinaryFile(const Sheet& sheet, const std::string& path,
-                           std::string_view backend) {
-  return WriteFileAtomic(path, WriteSheetBinary(sheet, backend));
+Status SaveSheetBinaryFile(const Sheet& sheet, const std::string& path) {
+  return WriteFileAtomic(path, WriteSheetBinary(sheet));
 }
 
-Result<Sheet> LoadSheetBinaryFile(const std::string& path,
-                                  uint64_t max_bytes, std::string* backend) {
+Result<Sheet> LoadSnapshotFile(const std::string& path, uint64_t max_bytes) {
   auto data = ReadFileLimited(path, max_bytes);
   if (!data.ok()) return data.status();
-  auto sheet = ReadSheetBinary(*data, backend);
+  auto sheet = LooksLikeBinarySnapshot(*data) ? ReadSheetBinary(*data)
+                                              : ReadSheetText(*data);
   if (!sheet.ok()) return sheet;
   sheet->set_name(std::filesystem::path(path).stem().string());
   return sheet;

@@ -1,4 +1,6 @@
-// Compact binary sheet snapshots (.tsnap).
+// Compact binary sheet snapshots (.tsnap): the one durable session
+// format. Every SAVE, CHECKPOINT and eviction writes one; LoadSnapshotFile
+// also reads .tsheet text, which stays an import/export format.
 //
 // The text format (.tsheet, sheet/textio.h) is human-inspectable but slow
 // to load: every line re-runs the A1 parser, the number scanner, and — for
@@ -7,7 +9,8 @@
 //
 //   header   magic "TSNP", version, section count, header CRC
 //   sections length-prefixed, each with its own CRC32:
-//     meta      sheet name + cell/formula counts (cross-checked on load)
+//     meta      sheet name + cell/formula counts (cross-checked on load),
+//               then (version 2) a graph-backend string, written empty
 //     strtab    deduplicated strings (text-cell values and canonical
 //               formula texts), varint length-prefixed
 //     formulas  one compiled AST blob per distinct HOST-RELATIVE
@@ -44,33 +47,33 @@ namespace taco {
 /// length field can never drive an unbounded allocation.
 inline constexpr uint64_t kDefaultMaxSnapshotBytes = 512ull << 20;
 
-/// Serializes `sheet` into the binary snapshot format (version 2).
-/// `backend` — the graph-backend key of the saving session — is recorded
-/// in the meta section so recovery can restore the same implementation;
-/// empty means unrecorded.
-std::string WriteSheetBinary(const Sheet& sheet,
-                             std::string_view backend = {});
+/// Serializes `sheet` into the binary snapshot format (version 2). The
+/// meta section's graph-backend slot is always written empty: every
+/// session runs on TACO, and the slot stays so the version-2 layout does.
+std::string WriteSheetBinary(const Sheet& sheet);
 
 /// Parses a binary snapshot (versions 1 and 2). Fails with ParseError
 /// when `data` is not a binary snapshot at all (bad magic), Unsupported
 /// for a future version, and DataLoss for truncation or CRC mismatch.
-/// A non-null `backend` receives the recorded graph-backend key (empty
-/// for version-1 files, which predate the field).
-Result<Sheet> ReadSheetBinary(std::string_view data,
-                              std::string* backend = nullptr);
+/// A version-2 backend slot is read past and ignored: every session
+/// runs on TACO, whatever the file recorded.
+Result<Sheet> ReadSheetBinary(std::string_view data);
 
-/// True when `data` starts with the binary snapshot magic (used for
-/// format mix-up diagnostics; a positive sniff does not imply validity).
+/// True when `data` starts with the binary snapshot magic (the format
+/// sniff of LoadSnapshotFile; a positive sniff does not imply validity).
 bool LooksLikeBinarySnapshot(std::string_view data);
 
-/// File variants. Save writes temp-then-rename with fsync so a crash
-/// leaves either the old file or the new one, never a torn mix. Load
-/// refuses files larger than `max_bytes` with DataLoss.
-Status SaveSheetBinaryFile(const Sheet& sheet, const std::string& path,
-                           std::string_view backend = {});
-Result<Sheet> LoadSheetBinaryFile(
-    const std::string& path, uint64_t max_bytes = kDefaultMaxSnapshotBytes,
-    std::string* backend = nullptr);
+/// Writes a binary snapshot via WriteFileAtomic (temp + fsync +
+/// rename), so a crash leaves either the old file or the new one, never
+/// a torn mix. Every session save goes through here.
+Status SaveSheetBinaryFile(const Sheet& sheet, const std::string& path);
+
+/// The one session loader: a single bounded read of `path` (files over
+/// `max_bytes` fail with DataLoss), then a binary snapshot parse when
+/// the bytes start with the magic and a .tsheet text parse otherwise.
+/// The sheet is named after the file stem.
+Result<Sheet> LoadSnapshotFile(const std::string& path,
+                               uint64_t max_bytes = kDefaultMaxSnapshotBytes);
 
 /// Shared helper for the storage layer: writes `data` to `path` via a
 /// unique temp file + rename, fsyncing the file (and best-effort the

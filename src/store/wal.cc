@@ -26,7 +26,7 @@ Status WalCorrupt(const std::string& path, std::string_view detail) {
   return Status::DataLoss("wal '" + path + "': " + std::string(detail));
 }
 
-/// Bounds each header string (snapshot path / backend key): far above
+/// Bounds each header string (snapshot path, unused backend slot): far above
 /// any real value, small enough that PeekHeader can read a fixed-size
 /// prefix instead of the whole log.
 constexpr uint32_t kMaxHeaderString = 64u << 10;
@@ -37,7 +37,7 @@ std::string EncodeHeader(const WalHeader& header) {
   w.Raw(kWalMagic);
   w.U32(kWalVersion);
   w.Str(header.snapshot_path);
-  w.Str(header.backend);
+  w.Str("");  // The graph-backend slot: unused, always empty.
   w.U32(Crc32(out));
   return out;
 }
@@ -55,9 +55,9 @@ Result<size_t> DecodeHeader(const std::string& path, std::string_view data,
   uint8_t skip;
   for (size_t i = 0; i < kWalMagic.size(); ++i) r.U8(&skip);
   uint32_t version, crc;
-  std::string_view snap, backend;
+  std::string_view snap, unused_backend;
   if (!r.U32(&version) || !r.Str(&snap, kMaxHeaderString) ||
-      !r.Str(&backend, kMaxHeaderString) || !r.U32(&crc)) {
+      !r.Str(&unused_backend, kMaxHeaderString) || !r.U32(&crc)) {
     return WalCorrupt(path, "truncated header");
   }
   size_t header_len = r.position();
@@ -69,7 +69,6 @@ Result<size_t> DecodeHeader(const std::string& path, std::string_view data,
                                std::to_string(version));
   }
   header->snapshot_path = std::string(snap);
-  header->backend = std::string(backend);
   return header_len;
 }
 

@@ -9,14 +9,14 @@
 //
 // On-disk layout:
 //
-//   header   magic "TWAL", version, snapshot path and graph-backend key
-//            (length-prefixed), CRC32 over everything before it. The
-//            header is only ever written whole via temp-file + rename
-//            (creation and rotation), so it is either complete and
-//            valid or the file does not exist — torn headers cannot
-//            occur. The backend key makes recovery rebuild the session
-//            with the graph implementation it was created with, same
-//            as a parked reload.
+//   header   magic "TWAL", version, snapshot path and a graph-backend
+//            string (length-prefixed), CRC32 over everything before it.
+//            The header is only ever written whole via temp-file +
+//            rename (creation and rotation), so it is either complete
+//            and valid or the file does not exist — torn headers cannot
+//            occur. Every session runs on TACO, so the backend string is
+//            written empty and skipped on read; logs that name another
+//            graph still recover, onto TACO.
 //   records  appended in place, each:
 //              u32 payload length | u32 payload CRC32 | payload
 //            payload = u32 edit count, then the encoded edits.
@@ -75,7 +75,6 @@ struct WalOptions {
 /// The atomically-written metadata at the front of every log.
 struct WalHeader {
   std::string snapshot_path;  ///< Snapshot this log extends; may be empty.
-  std::string backend;        ///< Graph-backend key of the session.
 };
 
 /// What replaying an existing log found.

@@ -362,36 +362,6 @@ Status TacoGraph::RemoveFormulaCells(const Range& cells) {
   return Status::OK();
 }
 
-Status TacoGraph::InsertCompressedEdgeForLoad(const CompressedEdge& edge) {
-  if (!edge.prec.IsValid() || !edge.dep.IsValid()) {
-    return Status::InvalidArgument("invalid edge ranges: " + edge.ToString());
-  }
-  if (edge.compressed_count < 1) {
-    return Status::InvalidArgument("edge with zero dependencies: " +
-                                   edge.ToString());
-  }
-  if (edge.pattern == PatternType::kSingle && !edge.dep.IsSingleCell()) {
-    return Status::InvalidArgument("Single edge with multi-cell dep: " +
-                                   edge.ToString());
-  }
-  if (edge.pattern != PatternType::kSingle &&
-      edge.pattern != PatternType::kRRGapOne && !edge.dep.IsLine()) {
-    return Status::InvalidArgument("compressed dep is not a line: " +
-                                   edge.ToString());
-  }
-  // The reconstructed dependencies must all reference valid windows; this
-  // also validates the metadata against the dep rectangle.
-  for (const Dependency& dep : ReconstructDependencies(edge)) {
-    if (!dep.prec.IsValid()) {
-      return Status::InvalidArgument("edge window leaves the sheet: " +
-                                     edge.ToString());
-    }
-  }
-  InsertEdge(edge);
-  raw_dependencies_ += edge.compressed_count;
-  return Status::OK();
-}
-
 std::unordered_map<PatternType, PatternStat> TacoGraph::PatternStats() const {
   std::unordered_map<PatternType, PatternStat> stats;
   ForEachEdge([&stats](const CompressedEdge& edge) {

@@ -96,12 +96,6 @@ class TacoGraph : public DependencyGraph {
   void ForEachEdge(
       const std::function<void(const CompressedEdge&)>& fn) const;
 
-  /// Inserts an already-compressed edge verbatim, bypassing Algorithm 2.
-  /// Used by the graph loader (taco/graph_io.h); the edge must be
-  /// internally consistent (validated). Raw-dependency accounting uses
-  /// edge.compressed_count.
-  Status InsertCompressedEdgeForLoad(const CompressedEdge& edge);
-
   const TacoOptions& options() const { return options_; }
 
  private:

@@ -188,7 +188,7 @@ TEST(ProtocolConformanceTest, EditReadVerbs) {
       {.name = "edit-read",
        .commands = {
            "OPEN wb",
-           "OPEN wb2 nocomp",
+           "OPEN wb2",
            "LIST",
            "SET wb A1 100",
            "SET wb A2 -3",
@@ -301,7 +301,7 @@ TEST(ProtocolConformanceTest, PersistenceVerbs) {
            "GET back B1",
            "STATS back",
            "SAVE back " + path2,
-           "LOAD dup " + path2 + " nocomp",
+           "LOAD dup " + path2,
            "GET dup B1",
            "LOAD back " + path,  // AlreadyExists.
            "CLOSE back",
@@ -320,8 +320,9 @@ TEST(ProtocolConformanceTest, MalformedTraffic) {
            "# a comment",
            "FROBNICATE x",  // Unknown verb.
            "OPEN",          // Usage.
-           "OPEN wb sparkly-backend",
+           "OPEN wb sparkly-backend",  // Trailing token: usage.
            "OPEN wb",
+           "LOAD wb f x",  // Trailing token: usage, before any file I/O.
            "GET nosuch A1",          // Bad session.
            "GET wb NOTACELL",        // Bad cell.
            "SET wb A1",              // Missing value.
@@ -471,9 +472,7 @@ TEST(ProtocolSoakTest, RandomScriptsMatchSerialOracleCellForCell) {
 
     // The serial oracle: a bare WorkbookSession driven through the
     // session API — no protocol, no transport, no threads.
-    auto graph = MakeGraphBackend("taco");
-    ASSERT_TRUE(graph.ok());
-    WorkbookSession oracle("oracle", Sheet(), std::move(*graph));
+    WorkbookSession oracle("oracle", Sheet(), TacoGraph());
 
     // The system under test: the same script as wire traffic.
     WorkbookService service;
@@ -481,7 +480,7 @@ TEST(ProtocolSoakTest, RandomScriptsMatchSerialOracleCellForCell) {
     ASSERT_TRUE(server.Start().ok());
     SocketClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-    ASSERT_TRUE(client.Call("OPEN wb taco")->starts_with("OK opened"));
+    ASSERT_TRUE(client.Call("OPEN wb")->starts_with("OK opened"));
 
     test::WorkloadGenerator gen(0x50AC + trial, kMaxCol, kMaxRow);
     for (int i = 0; i < kStepsPerScript; ++i) {

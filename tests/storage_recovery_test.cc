@@ -10,7 +10,10 @@
 // byte offsets, which is exactly the state a SIGKILL mid-append leaves
 // behind on a POSIX filesystem.
 //
-// The randomized suites scale with TACO_FUZZ_TRIALS.
+// The parameterized suites run once per base-file format: the session
+// starts from a LOAD of a .tsheet text file or of a binary snapshot.
+// Whatever the base, every SAVE, CHECKPOINT and eviction writes a binary
+// snapshot. The randomized suites scale with TACO_FUZZ_TRIALS.
 
 #include <unistd.h>
 
@@ -62,15 +65,32 @@ class ScratchDir {
   std::string path_;
 };
 
-WorkbookServiceOptions StorageOptionsFor(const std::string& store,
-                                         const std::string& wal_dir) {
+WorkbookServiceOptions WalOptionsIn(const std::string& wal_dir) {
   WorkbookServiceOptions options;
-  options.store = store;
   options.wal_dir = wal_dir;
   return options;
 }
 
 std::string Canon(const Sheet& sheet) { return WriteSheetText(sheet); }
+
+/// Writes `sheet` as a base file in `format` ("text" = .tsheet, "binary"
+/// = snapshot) under `dir` and returns its path. The stem is `stem`, so
+/// a LOAD names the sheet after it.
+std::string WriteBase(const ScratchDir& dir, const std::string& stem,
+                      const std::string& format, const Sheet& sheet) {
+  const bool binary = format == "binary";
+  std::string path = dir.File(stem + (binary ? ".tsnap" : ".tsheet"));
+  EXPECT_TRUE(WriteFileAtomic(path, binary ? WriteSheetBinary(sheet)
+                                           : WriteSheetText(sheet))
+                  .ok());
+  return path;
+}
+
+/// True when the file at `path` holds a binary snapshot.
+bool IsBinarySnapshotFile(const std::string& path) {
+  auto bytes = ReadFileLimited(path, kDefaultMaxSnapshotBytes);
+  return bytes.ok() && LooksLikeBinarySnapshot(*bytes);
+}
 
 /// One acknowledged operation: the edits the client was told succeeded,
 /// plus the WAL size right after the acknowledgement (= the kill points
@@ -110,37 +130,47 @@ uint64_t WalHeaderBytes(const ScratchDir& dir,
                         const std::string& snapshot_path) {
   std::string probe = dir.File("header_probe.wal");
   std::remove(probe.c_str());
-  auto wal = WriteAheadLog::Create(probe, WalOptions{},
-                                   {snapshot_path, "taco"});
+  auto wal = WriteAheadLog::Create(probe, WalOptions{}, {snapshot_path});
   EXPECT_TRUE(wal.ok());
   uint64_t bytes = (*wal)->bytes();
   std::remove(probe.c_str());
   return bytes;
 }
 
+/// A random starting sheet for a LOAD: a few edits over the region the
+/// ops touch, named after the session.
+Sheet RandomBaseSheet(std::mt19937_64& rng, const std::string& name) {
+  Sheet sheet;
+  sheet.set_name(name);
+  for (int i = 0, n = 2 + int(rng() % 5); i < n; ++i) {
+    EXPECT_TRUE(ApplyEditToSheet(&sheet, RandomEdit(rng)).ok());
+  }
+  return sheet;
+}
+
+/// The parameter is the base file's format: "text" or "binary".
 class StorageRecoveryTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(StorageRecoveryTest,
        RandomizedKillPointsRecoverExactlyTheAcknowledgedPrefix) {
-  const std::string store = GetParam();
-  std::mt19937_64 rng(0xD15C0 + (store == "binary" ? 1 : 0));
+  const std::string format = GetParam();
+  std::mt19937_64 rng(0xD15C0 + (format == "binary" ? 1 : 0));
   for (int trial = 0, n = FuzzTrials(12); trial < n; ++trial) {
-    ScratchDir dir("taco_recovery_" + store);
+    ScratchDir dir("taco_recovery_" + format);
     const std::string snap = dir.File("book.snap");
     const std::string wal_dir = dir.File("wal");
 
-    // Phase 1: the writer. Apply random acknowledged ops, tracking the
-    // oracle state and the WAL offset at each acknowledgement.
-    Sheet base;                    // State the last checkpoint persisted.
-    Sheet current;                 // State after every acknowledged op.
-    base.set_name("book");
-    current.set_name("book");
+    // Phase 1: the writer. LOAD the base file, then apply random
+    // acknowledged ops, tracking the oracle state and the WAL offset at
+    // each acknowledgement.
+    Sheet base = RandomBaseSheet(rng, "book");  // Last persisted state.
+    Sheet current = base;          // State after every acknowledged op.
     std::vector<AckedOp> acked;    // Ops since the last checkpoint.
-    std::string last_snapshot;     // Path the WAL header names.
+    std::string last_snapshot = WriteBase(dir, "book", format, base);
     std::string wal_file;
     {
-      WorkbookService service(StorageOptionsFor(store, wal_dir));
-      auto session = *service.Open("book");
+      WorkbookService service(WalOptionsIn(wal_dir));
+      auto session = *service.Load("book", last_snapshot);
       wal_file = service.WalPathFor("book");
       int ops = 6 + int(rng() % 14);
       for (int i = 0; i < ops; ++i) {
@@ -149,6 +179,7 @@ TEST_P(StorageRecoveryTest,
           // land in the rotated log; earlier state comes off the
           // snapshot.
           ASSERT_TRUE(session->Checkpoint(snap).ok());
+          ASSERT_TRUE(IsBinarySnapshotFile(snap));
           base = current;  // Sheet is copyable: deep oracle snapshot.
           acked.clear();
           last_snapshot = snap;
@@ -196,11 +227,11 @@ TEST_P(StorageRecoveryTest,
 
     // Phase 3: reopen. OPEN must recover snapshot + surviving tail.
     {
-      WorkbookService service(StorageOptionsFor(store, wal_dir));
+      WorkbookService service(WalOptionsIn(wal_dir));
       auto session = service.Open("book");
       ASSERT_TRUE(session.ok()) << session.status().ToString();
       EXPECT_EQ((*session)->Snapshot(), Canon(expected))
-          << store << " trial " << trial << ": cut " << cut << " of "
+          << format << " trial " << trial << ": cut " << cut << " of "
           << full_size << " (" << surviving << "/" << acked.size()
           << " ops survive)";
       SessionStats stats = (*session)->Stats();
@@ -234,30 +265,35 @@ TEST_P(StorageRecoveryTest,
   // before the bytes it promises are down. Each session has exactly one
   // driver thread, so its recorded wal_end offsets are exact ack
   // boundaries even though flushes interleave across sessions.
-  const std::string store = GetParam();
+  const std::string format = GetParam();
   constexpr int kSessions = 3;
-  std::mt19937_64 rng(0x6C07 + (store == "binary" ? 1 : 0));
+  std::mt19937_64 rng(0x6C07 + (format == "binary" ? 1 : 0));
   for (int trial = 0, n = FuzzTrials(6); trial < n; ++trial) {
-    ScratchDir dir("taco_gc_recovery_" + store);
+    ScratchDir dir("taco_gc_recovery_" + format);
     struct PerSession {
       std::string name;
+      std::string base_path;        // The LOADed file the WAL extends.
       std::string wal_file;
+      Sheet base;                   // The base file's contents.
       Sheet oracle;                 // State after every acknowledged op.
       std::vector<AckedOp> acked;
       uint64_t seed = 0;
     };
     std::vector<PerSession> sessions(kSessions);
     for (int s = 0; s < kSessions; ++s) {
-      sessions[s].name = "book" + std::to_string(s);
-      sessions[s].seed = rng();
+      PerSession& per = sessions[s];
+      per.name = "book" + std::to_string(s);
+      per.seed = rng();
+      per.base = RandomBaseSheet(rng, per.name);
+      per.oracle = per.base;
+      per.base_path = WriteBase(dir, per.name, format, per.base);
     }
 
     // Phase 1: concurrent writers through one group committer. A small
     // coalescing window widens the rounds so acks genuinely share
     // fsyncs (the unit suite asserts the batching itself).
     {
-      WorkbookServiceOptions options =
-          StorageOptionsFor(store, dir.File("wal"));
+      WorkbookServiceOptions options = WalOptionsIn(dir.File("wal"));
       options.group_commit = true;
       options.group_commit_max_delay_us = 200;
       WorkbookService service(options);
@@ -266,7 +302,7 @@ TEST_P(StorageRecoveryTest,
         per.wal_file = service.WalPathFor(per.name);
         drivers.emplace_back([&service, &per] {
           std::mt19937_64 thread_rng(per.seed);
-          auto session = *service.Open(per.name);
+          auto session = *service.Load(per.name, per.base_path);
           int ops = 6 + int(thread_rng() % 10);
           for (int i = 0; i < ops; ++i) {
             AckedOp op;
@@ -290,8 +326,8 @@ TEST_P(StorageRecoveryTest,
     // Phase 2: kill every session's log independently — sometimes at an
     // exact ack boundary (a kill between group rounds), sometimes at a
     // random byte (a kill mid-round, tearing the tail record).
-    uint64_t header_bytes = WalHeaderBytes(dir, "");
     for (PerSession& per : sessions) {
+      uint64_t header_bytes = WalHeaderBytes(dir, per.base_path);
       uint64_t full_size = std::filesystem::file_size(per.wal_file);
       ASSERT_GE(full_size, header_bytes);
       uint64_t cut;
@@ -304,8 +340,7 @@ TEST_P(StorageRecoveryTest,
       }
       std::filesystem::resize_file(per.wal_file, cut);
 
-      Sheet expected;
-      expected.set_name(per.name);
+      Sheet expected = per.base;
       size_t surviving = 0;
       for (const AckedOp& op : per.acked) {
         if (op.wal_end <= cut) {
@@ -316,11 +351,11 @@ TEST_P(StorageRecoveryTest,
         }
       }
 
-      WorkbookService service(StorageOptionsFor(store, dir.File("wal")));
+      WorkbookService service(WalOptionsIn(dir.File("wal")));
       auto recovered = service.Open(per.name);
       ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
       EXPECT_EQ((*recovered)->Snapshot(), Canon(expected))
-          << store << " trial " << trial << " session " << per.name
+          << format << " trial " << trial << " session " << per.name
           << ": cut " << cut << " of " << full_size << " (" << surviving
           << "/" << per.acked.size() << " ops survive)";
       EXPECT_EQ((*recovered)->Stats().recovered_records, surviving);
@@ -340,8 +375,7 @@ TEST(StorageRecoveryMiscTest,
   constexpr int kMutatorsPerSession = 2;
   constexpr int kEditsPerMutator = 30;
   {
-    WorkbookServiceOptions options =
-        StorageOptionsFor("text", dir.File("wal"));
+    WorkbookServiceOptions options = WalOptionsIn(dir.File("wal"));
     options.group_commit = true;
     WorkbookService service(options);
     std::atomic<bool> done{false};
@@ -380,7 +414,7 @@ TEST(StorageRecoveryMiscTest,
     done.store(true, std::memory_order_relaxed);
     for (auto& thread : readers) thread.join();
   }  // Crash.
-  WorkbookService reopened(StorageOptionsFor("text", dir.File("wal")));
+  WorkbookService reopened(WalOptionsIn(dir.File("wal")));
   for (int s = 0; s < kSessions; ++s) {
     auto session = reopened.Open("book" + std::to_string(s));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -393,22 +427,26 @@ TEST(StorageRecoveryMiscTest,
 }
 
 TEST_P(StorageRecoveryTest, CheckpointBoundsRecoveryAndSurvivesRestart) {
-  const std::string store = GetParam();
-  ScratchDir dir("taco_checkpoint_" + store);
+  const std::string format = GetParam();
+  ScratchDir dir("taco_checkpoint_" + format);
   const std::string snap = dir.File("book.snap");
+  Sheet base;
+  ASSERT_TRUE(base.SetNumber(Cell{1, 1}, 40).ok());
+  const std::string base_path = WriteBase(dir, "book", format, base);
   {
-    WorkbookService service(StorageOptionsFor(store, dir.File("wal")));
-    auto session = *service.Open("book");
+    WorkbookService service(WalOptionsIn(dir.File("wal")));
+    auto session = *service.Load("book", base_path);
     ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 41).ok());
     ASSERT_TRUE(session->SetFormula(Cell{2, 1}, "A1+1").ok());
     ASSERT_TRUE(session->Checkpoint(snap).ok());
+    EXPECT_TRUE(IsBinarySnapshotFile(snap));
     EXPECT_FALSE(session->Stats().dirty);
     EXPECT_EQ(session->Stats().wal_records, 0u);  // Rotated away.
     // Post-checkpoint edit: lives only in the WAL tail.
     ASSERT_TRUE(session->SetNumber(Cell{1, 2}, 100).ok());
   }
   {
-    WorkbookService service(StorageOptionsFor(store, dir.File("wal")));
+    WorkbookService service(WalOptionsIn(dir.File("wal")));
     auto session = *service.Open("book");
     EXPECT_EQ(session->GetValue(Cell{2, 1}), Value::Number(42));
     EXPECT_EQ(session->GetValue(Cell{1, 2}), Value::Number(100));
@@ -419,13 +457,14 @@ TEST_P(StorageRecoveryTest, CheckpointBoundsRecoveryAndSurvivesRestart) {
 }
 
 TEST_P(StorageRecoveryTest, InteriorWalCorruptionFailsOpenWithDataLoss) {
-  const std::string store = GetParam();
-  ScratchDir dir("taco_walcorrupt_" + store);
+  const std::string format = GetParam();
+  ScratchDir dir("taco_walcorrupt_" + format);
+  const std::string base_path = WriteBase(dir, "book", format, Sheet());
   std::string wal_file;
   uint64_t first_record_end = 0;
   {
-    WorkbookService service(StorageOptionsFor(store, dir.File("wal")));
-    auto session = *service.Open("book");
+    WorkbookService service(WalOptionsIn(dir.File("wal")));
+    auto session = *service.Load("book", base_path);
     wal_file = service.WalPathFor("book");
     ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 1).ok());
     first_record_end = session->Stats().wal_bytes;
@@ -441,7 +480,7 @@ TEST_P(StorageRecoveryTest, InteriorWalCorruptionFailsOpenWithDataLoss) {
     file.seekp(static_cast<std::streamoff>(first_record_end) - 2);
     file.put(static_cast<char>(byte ^ 0x5A));
   }
-  WorkbookService service(StorageOptionsFor(store, dir.File("wal")));
+  WorkbookService service(WalOptionsIn(dir.File("wal")));
   auto session = service.Open("book");
   ASSERT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), StatusCode::kDataLoss);
@@ -452,87 +491,90 @@ TEST_P(StorageRecoveryTest, InteriorWalCorruptionFailsOpenWithDataLoss) {
   EXPECT_EQ(again.status().code(), StatusCode::kDataLoss);
 }
 
-TEST_P(StorageRecoveryTest, EvictionParksThroughTheConfiguredEngine) {
-  const std::string store = GetParam();
-  ScratchDir dir("taco_evict_" + store);
-  WorkbookServiceOptions options = StorageOptionsFor(store, dir.File("wal"));
+TEST_P(StorageRecoveryTest, EvictionParksAsABinarySnapshot) {
+  const std::string format = GetParam();
+  ScratchDir dir("taco_evict_" + format);
+  WorkbookServiceOptions options = WalOptionsIn(dir.File("wal"));
   options.max_resident_sessions = 1;
   WorkbookService service(options);
-  std::string paths[2] = {dir.File("wb0.snap"), dir.File("wb1.snap")};
+  std::string paths[2];
   for (int i = 0; i < 2; ++i) {
     std::string name = "wb" + std::to_string(i);
-    auto session = *service.Open(name);
+    paths[i] = WriteBase(dir, name, format, Sheet());
+    auto session = *service.Load(name, paths[i]);
     ASSERT_TRUE(session->SetNumber(Cell{1, 1}, i + 7.0).ok());
-    ASSERT_TRUE(service.Save(name, paths[i]).ok());
   }
+  // Loading wb1 put the service over its cap: dirty wb0 was saved to
+  // its bound file, the LOADed base, and parked.
   EXPECT_EQ(service.parked_sessions(), 1u);
-  // The parked snapshot is in the ENGINE's format.
-  auto bytes = ReadFileLimited(paths[0], 1 << 20);
-  ASSERT_TRUE(bytes.ok());
-  EXPECT_EQ(LooksLikeBinarySnapshot(*bytes), store == "binary");
-  // Transparent reload through the engine, data intact.
+  EXPECT_TRUE(IsBinarySnapshotFile(paths[0]));
+  // Transparent reload, data intact.
   auto reloaded = service.Get("wb0");
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ((*reloaded)->GetValue(Cell{1, 1}), Value::Number(7));
+  // An explicit SAVE of the other one writes a snapshot too.
+  ASSERT_TRUE(service.Save("wb1", dir.File("wb1.saved")).ok());
+  EXPECT_TRUE(IsBinarySnapshotFile(dir.File("wb1.saved")));
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, StorageRecoveryTest,
+TEST_P(StorageRecoveryTest, OverBoundFileIsDataLossThroughTheService) {
+  // The one loader reads at most kDefaultMaxSnapshotBytes, whatever the
+  // format: a file past the bound is refused before any byte of it is
+  // read. The file is sparse, so it takes no disk space.
+  const std::string format = GetParam();
+  ScratchDir dir("taco_overbound_" + format);
+  Sheet sheet;
+  ASSERT_TRUE(sheet.SetNumber(Cell{1, 1}, 1).ok());
+  const std::string path = WriteBase(dir, "big", format, sheet);
+  std::filesystem::resize_file(path, kDefaultMaxSnapshotBytes + 1);
+  WorkbookService service(WalOptionsIn(dir.File("wal")));
+  auto loaded = service.Load("big", path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+      << loaded.status().ToString();
+  EXPECT_FALSE(std::filesystem::exists(service.WalPathFor("big")));
+}
+
+INSTANTIATE_TEST_SUITE_P(BaseFormats, StorageRecoveryTest,
                          ::testing::Values("text", "binary"));
-
-TEST(StorageRecoveryMiscTest, RecoveryKeepsTheOriginalGraphBackend) {
-  // The WAL header records the backend key, so crash recovery rebuilds
-  // the session with the implementation it was created with — the first
-  // opener after a crash cannot change it, mirroring how a resident or
-  // parked hit ignores a requested backend.
-  ScratchDir dir("taco_backend");
-  {
-    WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
-    auto session = *service.Open("book", "nocomp");
-    ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 3).ok());
-  }
-  WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
-  auto recovered = service.Open("book", "cellgraph");  // Ignored.
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ((*recovered)->Stats().backend, "NoComp");
-  EXPECT_EQ((*recovered)->backend_key(), "nocomp");
-  EXPECT_EQ((*recovered)->GetValue(Cell{1, 1}), Value::Number(3));
-}
 
 TEST(StorageRecoveryMiscTest, FailedLoadLeavesTheWalIntact) {
   // A LOAD that fails after deciding to reset a mismatched WAL must not
   // have reset it: the acknowledged records stay recoverable, and a
   // failed LOAD of a fresh name must not leave a stray log behind.
   ScratchDir dir("taco_load_fail");
-  const std::string other = dir.File("other.snap");
+  const std::string corrupt = dir.File("corrupt.tsnap");
   {
-    WorkbookService writer(StorageOptionsFor("text", ""));
-    auto session = *writer.Open("tmp");
-    ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 555).ok());
-    ASSERT_TRUE(session->Save(other).ok());
+    Sheet sheet;
+    ASSERT_TRUE(sheet.SetNumber(Cell{1, 1}, 555).ok());
+    std::string bytes = WriteSheetBinary(sheet);
+    bytes.back() ^= 0x5A;  // The cells section CRC no longer matches.
+    ASSERT_TRUE(WriteFileAtomic(corrupt, bytes).ok());
   }
   {
-    WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
+    WorkbookService service(WalOptionsIn(dir.File("wal")));
     auto session = *service.Open("book");
     ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 42).ok());
   }
-  WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
-  // Mismatched WAL + a bogus backend: the load fails AFTER the reset
+  WorkbookService service(WalOptionsIn(dir.File("wal")));
+  // Mismatched WAL + a corrupt snapshot: the load fails AFTER the reset
   // decision — the reset must not have happened.
-  auto failed = service.Load("book", other, "bogus-backend");
+  auto failed = service.Load("book", corrupt);
   ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
   auto recovered = service.Open("book");
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->GetValue(Cell{1, 1}), Value::Number(42));
   // Fresh name, failing load: no stray WAL may appear for it.
   ASSERT_FALSE(service.Load("fresh", dir.File("missing.snap")).ok());
   EXPECT_FALSE(std::filesystem::exists(service.WalPathFor("fresh")));
-  ASSERT_FALSE(service.Load("fresh2", other, "bogus").ok());
+  ASSERT_FALSE(service.Load("fresh2", corrupt).ok());
   EXPECT_FALSE(std::filesystem::exists(service.WalPathFor("fresh2")));
 }
 
 TEST(StorageRecoveryMiscTest, ClosedNamesDoNotResurrectFromTheirWal) {
   ScratchDir dir("taco_close");
-  WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
+  WorkbookService service(WalOptionsIn(dir.File("wal")));
   {
     auto session = *service.Open("book");
     ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 9).ok());
@@ -550,20 +592,20 @@ TEST(StorageRecoveryMiscTest, LoadResetsAWalRecordedAgainstAnotherFile) {
   const std::string other = dir.File("other.snap");
   {
     // A completely separate service writes `other`.
-    WorkbookService writer(StorageOptionsFor("text", ""));
+    WorkbookService writer;
     auto session = *writer.Open("tmp");
     ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 555).ok());
     ASSERT_TRUE(session->Save(other).ok());
   }
   {
     // Crash a session whose WAL extends the EMPTY snapshot (never saved).
-    WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
+    WorkbookService service(WalOptionsIn(dir.File("wal")));
     auto session = *service.Open("book");
     ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 1).ok());
   }
   // LOAD of `other` under the same name: the operator's explicit file
   // wins; the stale WAL must not replay on top of it.
-  WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
+  WorkbookService service(WalOptionsIn(dir.File("wal")));
   auto loaded = service.Load("book", other);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->GetValue(Cell{1, 1}), Value::Number(555));
@@ -571,12 +613,32 @@ TEST(StorageRecoveryMiscTest, LoadResetsAWalRecordedAgainstAnotherFile) {
   // ... and the reset WAL now extends `other`: post-LOAD edits recover.
   ASSERT_TRUE((*loaded)->SetNumber(Cell{1, 2}, 2.0).ok());
   {
-    WorkbookService after_crash(StorageOptionsFor("text", dir.File("wal")));
+    WorkbookService after_crash(WalOptionsIn(dir.File("wal")));
     auto recovered = after_crash.Open("book");
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_EQ((*recovered)->GetValue(Cell{1, 1}), Value::Number(555));
     EXPECT_EQ((*recovered)->GetValue(Cell{1, 2}), Value::Number(2));
   }
+}
+
+TEST(StorageRecoveryMiscTest, LoadOfTheFileTheWalExtendsReplaysTheTail) {
+  // LOAD of the very file the crashed session's WAL extends is recovery,
+  // not a fresh import: the logged tail replays on top of the snapshot.
+  ScratchDir dir("taco_load_replay");
+  const std::string snap = dir.File("book.snap");
+  {
+    WorkbookService service(WalOptionsIn(dir.File("wal")));
+    auto session = *service.Open("book");
+    ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 1).ok());
+    ASSERT_TRUE(session->Checkpoint(snap).ok());
+    ASSERT_TRUE(session->SetNumber(Cell{1, 2}, 2).ok());  // In the WAL.
+  }  // Crash.
+  WorkbookService service(WalOptionsIn(dir.File("wal")));
+  auto loaded = service.Load("book", snap);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->GetValue(Cell{1, 1}), Value::Number(1));
+  EXPECT_EQ((*loaded)->GetValue(Cell{1, 2}), Value::Number(2));
+  EXPECT_EQ((*loaded)->Stats().recovered_records, 1u);
 }
 
 TEST(StorageRecoveryMiscTest, DeepFormulaSurvivesCheckpointAndRecovery) {
@@ -588,7 +650,7 @@ TEST(StorageRecoveryMiscTest, DeepFormulaSurvivesCheckpointAndRecovery) {
   std::string formula = "1";
   for (int i = 1; i < 400; ++i) formula += "+1";
   {
-    WorkbookService service(StorageOptionsFor("binary", dir.File("wal")));
+    WorkbookService service(WalOptionsIn(dir.File("wal")));
     CommandProcessor processor(&service);
     ASSERT_TRUE(processor.Execute("OPEN book").starts_with("OK"));
     ASSERT_TRUE(processor.Execute("FORMULA book A1 " + formula)
@@ -598,7 +660,7 @@ TEST(StorageRecoveryMiscTest, DeepFormulaSurvivesCheckpointAndRecovery) {
     ASSERT_TRUE(checkpoint.starts_with("OK")) << checkpoint;
     ASSERT_TRUE(processor.Execute("SET book B1 7").starts_with("OK"));
   }  // Crash.
-  WorkbookService service(StorageOptionsFor("binary", dir.File("wal")));
+  WorkbookService service(WalOptionsIn(dir.File("wal")));
   auto recovered = service.Open("book");
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->GetValue(Cell{1, 1}), Value::Number(400));
@@ -606,110 +668,116 @@ TEST(StorageRecoveryMiscTest, DeepFormulaSurvivesCheckpointAndRecovery) {
   EXPECT_EQ((*recovered)->Stats().recovered_records, 1u);
 }
 
-TEST(StorageRecoveryMiscTest, KillPointRecoveryKeepsTheNoCompBackend) {
-  // The backend key must survive ANY kill point, not just a clean
-  // shutdown: the WAL header is written atomically at creation, so even
-  // a log truncated to the header — or torn mid-record — still names
-  // the backend, and recovery rebuilds a NoComp session holding exactly
-  // the acknowledged prefix.
-  constexpr int kOps = 5;
-  // Header size of a log whose header is {no snapshot, "nocomp"}.
-  uint64_t header_bytes = 0;
-  {
-    ScratchDir probe_dir("taco_nocomp_probe");
-    auto probe = WriteAheadLog::Create(probe_dir.File("probe.wal"),
-                                       WalOptions{}, {"", "nocomp"});
-    ASSERT_TRUE(probe.ok());
-    header_bytes = (*probe)->bytes();
-  }
-  for (int cut_at = 0; cut_at <= kOps; ++cut_at) {
-    for (bool tear : {false, true}) {
-      // A header is written whole via temp+rename — no kill point can
-      // tear it — so the smallest legal cut is the full header.
-      if (tear && cut_at == 0) continue;
-      ScratchDir dir("taco_nocomp_kill");
-      std::vector<uint64_t> boundaries{header_bytes};
-      std::string wal_file;
-      {
-        WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
-        auto session = *service.Open("book", "nocomp");
-        wal_file = service.WalPathFor("book");
-        for (int i = 1; i <= kOps; ++i) {
-          ASSERT_TRUE(session->SetNumber(Cell{1, i}, i).ok());
-          boundaries.push_back(session->Stats().wal_bytes);
-        }
-      }  // Crash.
-      // A torn cut loses the (never fully written) record it bites into.
-      uint64_t cut = boundaries[cut_at] - (tear ? 1 : 0);
-      int surviving = tear ? std::max(cut_at - 1, 0) : cut_at;
-      std::filesystem::resize_file(wal_file, cut);
+// ---------------------------------------------------------------------------
+// Files written when the service could host other graphs
+// ---------------------------------------------------------------------------
+//
+// Until the service hosted TACO only, a session could run on NoComp, and
+// both the v2 snapshot meta and the v1 WAL header recorded that choice.
+// These bytes come from that writer (WriteSheetBinary with backend
+// "nocomp"; WriteAheadLog with header {"", "nocomp"} and two appends).
+// The sheet is:
+//
+//   A1 = 3   A2 = 4   B1 = =SUM(A1:A2)   B2 = =A2*2   B3 = =A3*2   C1 = "hi"
+//
+// and the log holds {SET A1 5} then {FORMULA B1 A1*10, SET A2 "note"}.
 
-      WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
-      auto recovered = service.Open("book");  // No backend requested.
-      ASSERT_TRUE(recovered.ok())
-          << recovered.status().ToString() << " cut=" << cut;
-      EXPECT_EQ((*recovered)->Stats().backend, "NoComp")
-          << "cut=" << cut << " tear=" << tear;
-      EXPECT_EQ((*recovered)->backend_key(), "nocomp");
-      EXPECT_EQ((*recovered)->Stats().recovered_records,
-                uint64_t(surviving));
-      for (int i = 1; i <= kOps; ++i) {
-        EXPECT_EQ((*recovered)->GetValue(Cell{1, i}),
-                  i <= surviving ? Value::Number(i) : Value::Blank())
-            << "cut=" << cut << " row " << i;
-      }
-    }
-  }
+// 220 bytes
+constexpr char kNoCompSnapshotV2[] =
+    "\x54\x53\x4e\x50\x02\x00\x00\x00\x04\x00\x00\x00\x76\xfa\x92\x9a"
+    "\x01\x00\x00\x00\x24\x00\x00\x00\x00\x00\x00\x00\x38\x88\x04\x62"
+    "\x06\x00\x00\x00\x6c\x65\x67\x61\x63\x79\x06\x00\x00\x00\x00\x00"
+    "\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00\x6e\x6f"
+    "\x63\x6f\x6d\x70\x02\x00\x00\x00\x1c\x00\x00\x00\x00\x00\x00\x00"
+    "\xfb\x42\xe9\x6a\x04\x00\x00\x00\x0a\x53\x55\x4d\x28\x41\x31\x3a"
+    "\x41\x32\x29\x04\x41\x32\x2a\x32\x04\x41\x33\x2a\x32\x02\x68\x69"
+    "\x03\x00\x00\x00\x23\x00\x00\x00\x00\x00\x00\x00\x72\xfe\x02\xd2"
+    "\x02\x00\x00\x00\x00\x0c\x06\x03\x53\x55\x4d\x01\x03\x00\x01\x00"
+    "\x01\x02\x00\x0f\x05\x02\x03\x10\x01\x00\x00\x00\x00\x00\x00\x00"
+    "\x00\x00\x40\x04\x00\x00\x00\x29\x00\x00\x00\x00\x00\x00\x00\xe1"
+    "\x32\xfe\x6e\x02\x02\x00\x00\x00\x00\x00\x00\x00\x08\x40\x00\x02"
+    "\x00\x00\x00\x00\x00\x00\x00\x10\x40\x02\x01\x03\x00\x00\x00\x02"
+    "\x03\x01\x01\x00\x02\x03\x02\x01\x02\x03\x01\x03";
+
+// 102 bytes
+constexpr char kNoCompWalV1[] =
+    "\x54\x57\x41\x4c\x01\x00\x00\x00\x00\x00\x00\x00\x06\x00\x00\x00"
+    "\x6e\x6f\x63\x6f\x6d\x70\x0a\x0d\x13\x9d\x15\x00\x00\x00\x2e\x0d"
+    "\x61\xb3\x01\x00\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x00"
+    "\x00\x00\x00\x00\x00\x14\x40\x27\x00\x00\x00\xc7\x7e\xbe\x0c\x02"
+    "\x00\x00\x00\x02\x02\x00\x00\x00\x01\x00\x00\x00\x05\x00\x00\x00"
+    "\x41\x31\x2a\x31\x30\x01\x01\x00\x00\x00\x02\x00\x00\x00\x04\x00"
+    "\x00\x00\x6e\x6f\x74\x65";
+
+std::string LegacyBytes(const char* bytes, size_t size) {
+  return std::string(bytes, size - 1);  // Drop the literal's NUL.
 }
 
-TEST(StorageRecoveryMiscTest, LoadRestoresTheBackendFromTheWalHeader) {
-  // LOAD of the very file the crashed session's WAL extends is recovery:
-  // with no explicit backend the WAL header's key wins, and the logged
-  // tail replays on top of the snapshot.
-  ScratchDir dir("taco_load_backend");
-  const std::string snap = dir.File("book.snap");
-  {
-    WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
-    auto session = *service.Open("book", "nocomp");
-    ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 1).ok());
-    ASSERT_TRUE(session->Checkpoint(snap).ok());
-    ASSERT_TRUE(session->SetNumber(Cell{1, 2}, 2).ok());  // In the WAL.
-  }  // Crash.
-  WorkbookService service(StorageOptionsFor("text", dir.File("wal")));
-  auto loaded = service.Load("book", snap);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->Stats().backend, "NoComp");
-  EXPECT_EQ((*loaded)->GetValue(Cell{1, 1}), Value::Number(1));
-  EXPECT_EQ((*loaded)->GetValue(Cell{1, 2}), Value::Number(2));
-  EXPECT_EQ((*loaded)->Stats().recovered_records, 1u);
-  // An explicit caller choice still outranks the header.
-  ASSERT_TRUE(service.Close("book").ok());
-  auto explicit_load = service.Load("book", snap, "cellgraph");
-  ASSERT_TRUE(explicit_load.ok()) << explicit_load.status().ToString();
-  EXPECT_EQ((*explicit_load)->Stats().backend, "CellGraph");
+TEST(LegacyFileTest, V2SnapshotNamingNoCompLoadsOntoTaco) {
+  ScratchDir dir("taco_legacy_snapshot");
+  const std::string path = dir.File("legacy.tsnap");
+  ASSERT_TRUE(WriteFileAtomic(path, LegacyBytes(kNoCompSnapshotV2,
+                                                sizeof(kNoCompSnapshotV2)))
+                  .ok());
+  auto expected = ReadSheetText(
+      "A1 = 3\nA2 = 4\nB1 = =SUM(A1:A2)\nB2 = =A2*2\nB3 = =A3*2\n"
+      "C1 = \"hi\"\n");
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  expected->set_name("legacy");
+
+  WorkbookService service;
+  CommandProcessor processor(&service);
+  EXPECT_EQ(processor.Execute("LOAD legacy " + path),
+            "OK loaded legacy cells=6 formulas=3");
+  auto session = *service.Get("legacy");
+  EXPECT_EQ(session->Snapshot(), Canon(*expected));
+  EXPECT_EQ(processor.Execute("GET legacy B1"), "VALUE B1 7");
+  EXPECT_EQ(processor.Execute("GET legacy B2"), "VALUE B2 8");
+  EXPECT_EQ(processor.Execute("GET legacy B3"), "VALUE B3 0");
+  // The graph is TACO's: the autofilled B2:B3 pair shares one edge.
+  EXPECT_EQ(session->Stats().graph_edges, 2u);
+
+  // Saving it back writes the backend slot empty.
+  ASSERT_TRUE(session->Save().ok());
+  auto resaved = ReadFileLimited(path, kDefaultMaxSnapshotBytes);
+  ASSERT_TRUE(resaved.ok());
+  EXPECT_TRUE(LooksLikeBinarySnapshot(*resaved));
+  EXPECT_EQ(resaved->find("nocomp"), std::string::npos);
+  auto reread = ReadSheetBinary(*resaved);
+  ASSERT_TRUE(reread.ok()) << reread.status().ToString();
+  EXPECT_EQ(Canon(*reread), Canon(*expected));
 }
 
-TEST(StorageRecoveryMiscTest, BinarySnapshotRestoresTheBackendWithoutAWal) {
-  // With the WAL disabled entirely, the binary snapshot's meta section
-  // is the only place the key survives — a later LOAD with no explicit
-  // backend must come back on it, not on the service default.
-  ScratchDir dir("taco_snapmeta_backend");
-  const std::string snap = dir.File("book.bsnap");
-  {
-    WorkbookService service(StorageOptionsFor("binary", ""));
-    auto session = *service.Open("book", "nocomp");
-    ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 5).ok());
-    ASSERT_TRUE(session->Save(snap).ok());
-  }
-  WorkbookService service(StorageOptionsFor("binary", ""));
-  auto loaded = service.Load("copy", snap);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->Stats().backend, "NoComp");
-  EXPECT_EQ((*loaded)->GetValue(Cell{1, 1}), Value::Number(5));
-  // Explicit choice outranks the snapshot meta.
-  auto chosen = service.Load("copy2", snap, "cellgraph");
-  ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
-  EXPECT_EQ((*chosen)->Stats().backend, "CellGraph");
+TEST(LegacyFileTest, V1WalNamingNoCompRecoversOntoTaco) {
+  ScratchDir dir("taco_legacy_wal");
+  WorkbookService probe(WalOptionsIn(dir.File("wal")));
+  const std::string wal_file = probe.WalPathFor("book");
+  ASSERT_TRUE(WriteFileAtomic(wal_file, LegacyBytes(kNoCompWalV1,
+                                                    sizeof(kNoCompWalV1)))
+                  .ok());
+  Sheet expected;
+  expected.set_name("book");
+  ASSERT_TRUE(
+      ApplyEditToSheet(&expected, Edit::SetNumber(Cell{1, 1}, 5)).ok());
+  ASSERT_TRUE(
+      ApplyEditToSheet(&expected, Edit::SetFormula(Cell{2, 1}, "A1*10"))
+          .ok());
+  ASSERT_TRUE(
+      ApplyEditToSheet(&expected, Edit::SetText(Cell{1, 2}, "note")).ok());
+
+  WorkbookService service(WalOptionsIn(dir.File("wal")));
+  auto recovered = service.Open("book");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->Snapshot(), Canon(expected));
+  EXPECT_EQ((*recovered)->Stats().recovered_records, 2u);
+  EXPECT_EQ((*recovered)->GetValue(Cell{2, 1}), Value::Number(50));
+  EXPECT_EQ((*recovered)->GetValue(Cell{1, 2}), Value::Text("note"));
+  // New records append after the old header, and recover with it.
+  ASSERT_TRUE((*recovered)->SetNumber(Cell{1, 1}, 6).ok());
+  WorkbookService reopened(WalOptionsIn(dir.File("wal")));
+  auto again = reopened.Open("book");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ((*again)->GetValue(Cell{2, 1}), Value::Number(60));
 }
 
 TEST(StorageRecoveryMiscTest, WalFailureLatchesUntilACheckpointSucceeds) {
@@ -721,10 +789,9 @@ TEST(StorageRecoveryMiscTest, WalFailureLatchesUntilACheckpointSucceeds) {
   // state into a durable snapshot.
   ScratchDir dir("taco_wal_latch");
   const std::string wal_dir = dir.File("wal");
-  WorkbookService service(StorageOptionsFor("text", wal_dir));
+  WorkbookService service(WalOptionsIn(wal_dir));
   CommandProcessor processor(&service);
-  EXPECT_EQ(processor.Execute("OPEN book"), "OK opened book backend=TACO");
-
+  EXPECT_EQ(processor.Execute("OPEN book"), "OK opened book");
   // Break WAL creation: replace the (still empty) wal directory with a
   // plain file, so the lazy Create on first append cannot open a path
   // under it. (chmod tricks don't inject here: tests may run as root.)
@@ -776,7 +843,7 @@ TEST(StorageRecoveryMiscTest, WalFailureLatchesUntilACheckpointSucceeds) {
   EXPECT_TRUE(processor.Execute("SET book A2 8").starts_with("OK set"));
 
   // Crash + recover: snapshot carries A1, the fresh log carries A2.
-  WorkbookService reopened(StorageOptionsFor("text", wal_dir));
+  WorkbookService reopened(WalOptionsIn(wal_dir));
   auto recovered = reopened.Open("book");
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ((*recovered)->GetValue(Cell{1, 1}), Value::Number(7));
@@ -784,32 +851,40 @@ TEST(StorageRecoveryMiscTest, WalFailureLatchesUntilACheckpointSucceeds) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential backend equivalence through the protocol
+// Base-format equivalence through the protocol
 // ---------------------------------------------------------------------------
 
-TEST(StorageDifferentialTest, BackendsAgreeOverRandomProtocolWorkloads) {
+TEST(StorageDifferentialTest, BaseFormatsAgreeOverRandomProtocolWorkloads) {
+  // Two services start from the same sheet, one LOADed from a .tsheet
+  // and one from a binary snapshot, and take the same random protocol
+  // traffic with checkpoints in between. Their sheets must agree after
+  // every step that reports one, and again after a crash and recovery.
   std::mt19937_64 rng(0xB0B);
   for (int trial = 0, n = FuzzTrials(8); trial < n; ++trial) {
     ScratchDir text_dir("taco_diff_text");
     ScratchDir binary_dir("taco_diff_binary");
+    Sheet base = RandomBaseSheet(rng, "book");
+    const std::string text_base = WriteBase(text_dir, "book", "text", base);
+    const std::string binary_base =
+        WriteBase(binary_dir, "book", "binary", base);
     auto text_service = std::make_unique<WorkbookService>(
-        StorageOptionsFor("text", text_dir.File("wal")));
+        WalOptionsIn(text_dir.File("wal")));
     auto binary_service = std::make_unique<WorkbookService>(
-        StorageOptionsFor("binary", binary_dir.File("wal")));
+        WalOptionsIn(binary_dir.File("wal")));
     CommandProcessor text_proc(text_service.get());
     CommandProcessor binary_proc(binary_service.get());
 
     auto both = [&](const std::string& command) {
-      std::string a = text_proc.Execute(command);
-      std::string b = binary_proc.Execute(command);
-      // Responses carry no paths for these commands, so equality is
-      // byte-level (recalc timings are formatted but... find_ms varies).
-      return std::make_pair(a, b);
+      return std::make_pair(text_proc.Execute(command),
+                            binary_proc.Execute(command));
     };
 
     std::string text_snap = text_dir.File("book.snap");
     std::string binary_snap = binary_dir.File("book.snap");
-    both("OPEN book");
+    ASSERT_TRUE(text_proc.Execute("LOAD book " + text_base)
+                    .starts_with("OK loaded"));
+    ASSERT_TRUE(binary_proc.Execute("LOAD book " + binary_base)
+                    .starts_with("OK loaded"));
     int ops = 10 + int(rng() % 20);
     for (int i = 0; i < ops; ++i) {
       Edit edit = RandomEdit(rng);
@@ -842,16 +917,15 @@ TEST(StorageDifferentialTest, BackendsAgreeOverRandomProtocolWorkloads) {
         ASSERT_EQ(a, b) << "trial " << trial;
       }
     }
-    // Final state equality (the sheet text is engine-independent).
     std::string text_state = (*text_service->Get("book"))->Snapshot();
     std::string binary_state = (*binary_service->Get("book"))->Snapshot();
     ASSERT_EQ(text_state, binary_state) << "trial " << trial;
 
     // Crash both, recover both: still identical.
     text_service = std::make_unique<WorkbookService>(
-        StorageOptionsFor("text", text_dir.File("wal")));
+        WalOptionsIn(text_dir.File("wal")));
     binary_service = std::make_unique<WorkbookService>(
-        StorageOptionsFor("binary", binary_dir.File("wal")));
+        WalOptionsIn(binary_dir.File("wal")));
     auto text_session = text_service->Open("book");
     auto binary_session = binary_service->Open("book");
     ASSERT_TRUE(text_session.ok()) << text_session.status().ToString();

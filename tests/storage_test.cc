@@ -1,6 +1,7 @@
 // Storage-layer unit tests: the binary snapshot codec (round trips,
-// corruption detection, load-size guards), the StorageEngine seam (text
-// vs binary differential equivalence), and the write-ahead log (append /
+// corruption detection), the one session loader (format sniffing, text
+// vs binary differential equivalence, load-size guards), and the
+// write-ahead log (append /
 // replay, rotation, torn-tail truncation at EVERY byte offset, interior
 // corruption rejection).
 //
@@ -26,7 +27,6 @@
 #include "store/bytes.h"
 #include "store/checksum.h"
 #include "store/snapshot.h"
-#include "store/storage_engine.h"
 #include "store/wal.h"
 
 namespace taco {
@@ -236,37 +236,12 @@ TEST(BinarySnapshotTest, FuzzRoundTripAndCorruption) {
   }
 }
 
-TEST(BinarySnapshotTest, RecordsAndReturnsTheBackendKey) {
-  Sheet sheet = DemoSheet();
-  std::string blob = WriteSheetBinary(sheet, "nocomp");
-  std::string backend = "poison";  // Must be overwritten, not appended.
-  auto loaded = ReadSheetBinary(blob, &backend);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(backend, "nocomp");
-  EXPECT_EQ(Canon(*loaded), Canon(sheet));
-  // Unrecorded stays empty, and passing no out-param is fine.
-  backend = "poison";
-  ASSERT_TRUE(ReadSheetBinary(WriteSheetBinary(sheet), &backend).ok());
-  EXPECT_TRUE(backend.empty());
-  ASSERT_TRUE(ReadSheetBinary(blob).ok());
-  // The file variants carry the key through disk too.
-  std::string path = TempPath("taco_snapshot_backend.bsheet");
-  ASSERT_TRUE(SaveSheetBinaryFile(sheet, path, "cellgraph").ok());
-  backend.clear();
-  auto from_disk =
-      LoadSheetBinaryFile(path, kDefaultMaxSnapshotBytes, &backend);
-  ASSERT_TRUE(from_disk.ok()) << from_disk.status().ToString();
-  EXPECT_EQ(backend, "cellgraph");
-  std::remove(path.c_str());
-}
-
-TEST(BinarySnapshotTest, VersionOneFilesReadWithAnEmptyBackend) {
-  // Version 1 predates the backend field: its meta section ends after
-  // the formula-cell count. Synthesize one by surgery on a v2 blob with
-  // an EMPTY backend — drop the trailing empty string (a lone u32 zero
-  // length prefix) from the meta payload, patch the version, and
-  // recompute both CRCs. The reader must accept it and report no
-  // backend rather than refusing old files.
+TEST(BinarySnapshotTest, VersionOneFilesStillRead) {
+  // Version 1 predates the backend slot: its meta section ends after
+  // the formula-cell count. Synthesize one by surgery on a v2 blob (whose
+  // slot is always empty) — drop the trailing empty string (a lone u32
+  // zero length prefix) from the meta payload, patch the version, and
+  // recompute both CRCs. The reader must accept it.
   Sheet sheet = DemoSheet();
   std::string blob = WriteSheetBinary(sheet);
 
@@ -294,43 +269,32 @@ TEST(BinarySnapshotTest, VersionOneFilesReadWithAnEmptyBackend) {
   put_u32(24, 0);  // High half of the u64 length.
   put_u32(28, Crc32(std::string_view(blob).substr(32, meta_len - 4)));
 
-  std::string backend = "poison";
-  auto loaded = ReadSheetBinary(blob, &backend);
+  auto loaded = ReadSheetBinary(blob);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(backend.empty());
   EXPECT_EQ(Canon(*loaded), Canon(sheet));
 }
 
 // ---------------------------------------------------------------------------
-// Storage engines
+// The session loader (LoadSnapshotFile)
 // ---------------------------------------------------------------------------
 
-TEST(StorageEngineTest, MakeSelectsByNameCaseInsensitively) {
-  EXPECT_EQ((*MakeStorageEngine("text"))->name(), "text");
-  EXPECT_EQ((*MakeStorageEngine("BINARY"))->name(), "binary");
-  EXPECT_EQ((*MakeStorageEngine(""))->name(), "text");
-  EXPECT_EQ(MakeStorageEngine("xml").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(StorageEngineTest, BackendsAreDifferentiallyEquivalent) {
-  // The same sheet persisted through either backend and reloaded is the
-  // same sheet — the text format is the oracle for the binary one.
-  auto text = MakeStorageEngine("text").value();
-  auto binary = MakeStorageEngine("binary").value();
+TEST(SnapshotFileTest, TextAndBinaryFilesLoadToTheSameSheet) {
+  // The same sheet written as .tsheet text and as a binary snapshot loads
+  // back as the same sheet — the text format is the oracle for the
+  // binary one.
   Sheet sheet = DemoSheet();
-
   std::string text_path = TempPath("storage_diff.tsheet");
   std::string binary_path = TempPath("storage_diff.tsnap");
-  ASSERT_TRUE(text->SaveSnapshot(sheet, text_path).ok());
-  ASSERT_TRUE(binary->SaveSnapshot(sheet, binary_path).ok());
+  ASSERT_TRUE(WriteFileAtomic(text_path, WriteSheetText(sheet)).ok());
+  ASSERT_TRUE(SaveSheetBinaryFile(sheet, binary_path).ok());
 
-  auto from_text = text->LoadSnapshot(text_path);
-  auto from_binary = binary->LoadSnapshot(binary_path);
+  auto from_text = LoadSnapshotFile(text_path);
+  auto from_binary = LoadSnapshotFile(binary_path);
   ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
   ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
-  // Both loaders name the sheet after the file stem; normalize it so the
-  // comparison is about the CELLS.
+  // The loader names the sheet after the file stem.
+  EXPECT_EQ(from_text->name(), std::filesystem::path(text_path).stem());
+  EXPECT_EQ(from_binary->name(), std::filesystem::path(binary_path).stem());
   from_text->set_name(sheet.name());
   from_binary->set_name(sheet.name());
   EXPECT_EQ(Canon(*from_text), Canon(*from_binary));
@@ -340,36 +304,35 @@ TEST(StorageEngineTest, BackendsAreDifferentiallyEquivalent) {
   std::remove(binary_path.c_str());
 }
 
-TEST(StorageEngineTest, TextEngineDiagnosesBinaryFiles) {
-  std::string path = TempPath("storage_mixup.tsnap");
-  auto binary = MakeStorageEngine("binary").value();
-  ASSERT_TRUE(binary->SaveSnapshot(DemoSheet(), path).ok());
-  auto text = MakeStorageEngine("text").value();
-  auto result = text->LoadSnapshot(path);
+TEST(SnapshotFileTest, CorruptBinaryFileIsDataLossNotATextParse) {
+  // The sniff commits to the binary parser: a snapshot with a flipped
+  // byte past the magic must fail as corruption, never fall through to
+  // the text parser.
+  std::string bytes = WriteSheetBinary(DemoSheet());
+  bytes[bytes.size() / 2] ^= 0x5A;
+  std::string path = TempPath("storage_corrupt.tsnap");
+  WriteFile(path, bytes);
+  auto result = LoadSnapshotFile(path);
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
-  EXPECT_NE(result.status().message().find("binary snapshot"),
-            std::string::npos);
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
+      << result.status().ToString();
   std::remove(path.c_str());
 }
 
-TEST(StorageEngineTest, OversizedFilesAreRefusedByBothBackends) {
-  StorageOptions tiny;
-  tiny.max_load_bytes = 16;
-  std::string path = TempPath("storage_oversize");
-  ASSERT_TRUE((*MakeStorageEngine("text"))
-                  ->SaveSnapshot(DemoSheet(), path)
-                  .ok());
-  for (const char* kind : {"text", "binary"}) {
-    auto engine = MakeStorageEngine(kind, tiny).value();
-    auto result = engine->LoadSnapshot(path);
-    ASSERT_FALSE(result.ok()) << kind;
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << kind;
+TEST(SnapshotFileTest, OversizedFilesOfEitherFormatAreRefused) {
+  std::string text_path = TempPath("storage_oversize.tsheet");
+  std::string binary_path = TempPath("storage_oversize.tsnap");
+  ASSERT_TRUE(WriteFileAtomic(text_path, WriteSheetText(DemoSheet())).ok());
+  ASSERT_TRUE(SaveSheetBinaryFile(DemoSheet(), binary_path).ok());
+  for (const std::string& path : {text_path, binary_path}) {
+    auto result = LoadSnapshotFile(path, /*max_bytes=*/16);
+    ASSERT_FALSE(result.ok()) << path;
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << path;
     EXPECT_NE(result.status().message().find("over the load limit"),
               std::string::npos)
         << result.status().ToString();
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -391,7 +354,7 @@ TEST(WalTest, AppendsReplayAndReportInOrder) {
   std::remove(path.c_str());
   {
     auto wal = WriteAheadLog::Open(path, WalOptions{}, nullptr, nullptr,
-                                   {"/snap/base.tsnap", "taco"});
+                                   {"/snap/base.tsnap"});
     ASSERT_TRUE(wal.ok()) << wal.status().ToString();
     for (int i = 0; i < 5; ++i) {
       ASSERT_TRUE((*wal)->Append(DemoEdits(i)).ok());
@@ -401,7 +364,6 @@ TEST(WalTest, AppendsReplayAndReportInOrder) {
   auto header = WriteAheadLog::PeekHeader(path);
   ASSERT_TRUE(header.ok()) << header.status().ToString();
   EXPECT_EQ(header->snapshot_path, "/snap/base.tsnap");
-  EXPECT_EQ(header->backend, "taco");
 
   std::vector<EditBatch> replayed;
   auto recovery = WriteAheadLog::Replay(path, [&](const EditBatch& batch) {
@@ -413,7 +375,6 @@ TEST(WalTest, AppendsReplayAndReportInOrder) {
   EXPECT_EQ(recovery->edits, 20u);
   EXPECT_FALSE(recovery->torn_tail);
   EXPECT_EQ(recovery->header.snapshot_path, "/snap/base.tsnap");
-  EXPECT_EQ(recovery->header.backend, "taco");
   ASSERT_EQ(replayed.size(), 5u);
   for (int i = 0; i < 5; ++i) {
     const EditBatch& expect = DemoEdits(i);
@@ -456,7 +417,7 @@ TEST(WalTest, RotateEmptiesTheLogAndRebindsTheSnapshot) {
   auto wal = WriteAheadLog::Open(path, WalOptions{});
   ASSERT_TRUE(wal.ok());
   ASSERT_TRUE((*wal)->Append(DemoEdits(7)).ok());
-  ASSERT_TRUE((*wal)->Rotate({"/snap/after.tsnap", "nocomp"}).ok());
+  ASSERT_TRUE((*wal)->Rotate({"/snap/after.tsnap"}).ok());
   EXPECT_EQ((*wal)->appended_records(), 0u);
   // Appends continue against the NEW file.
   ASSERT_TRUE((*wal)->Append(DemoEdits(8)).ok());
@@ -464,7 +425,6 @@ TEST(WalTest, RotateEmptiesTheLogAndRebindsTheSnapshot) {
   auto recovery = WriteAheadLog::Replay(path, nullptr);
   ASSERT_TRUE(recovery.ok());
   EXPECT_EQ(recovery->header.snapshot_path, "/snap/after.tsnap");
-  EXPECT_EQ(recovery->header.backend, "nocomp");
   EXPECT_EQ(recovery->records, 1u);
   std::remove(path.c_str());
 }
