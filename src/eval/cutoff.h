@@ -85,8 +85,8 @@ struct CellWavePlan {
 };
 
 /// Expands `nodes`' references into cell-level edges (bounded by
-/// `max_edges`), marks seed-forced nodes, and builds the waves. `seeds`
-/// may be empty (non-cutoff callers): every `forced` bit is then 0.
+/// `max_edges`), marks the nodes that read or are one of the edited
+/// `seeds` (cutoff never prunes them), and builds the waves.
 CellWavePlan BuildCellWavePlan(std::vector<Cell> nodes,
                                std::vector<const Expr*> asts,
                                std::span<const Range> seeds,

@@ -94,7 +94,7 @@ Value LeafValue(const CellContent* content) {
 }  // namespace
 
 Value Evaluator::EvaluateCell(const Cell& cell) {
-  if (const Value* cached = Lookup(cell)) return *cached;
+  if (const Value* cached = FindCached(cell)) return *cached;
 
   const CellContent* content = sheet_->Get(cell);
   if (content == nullptr || !content->IsFormula()) {
@@ -120,7 +120,7 @@ Value Evaluator::EvaluateCell(const Cell& cell) {
   std::vector<A1Reference> refs;
   while (!stack.empty()) {
     Frame& frame = stack.back();
-    if (Lookup(frame.cell) != nullptr) {
+    if (FindCached(frame.cell) != nullptr) {
       stack.pop_back();
       continue;
     }
@@ -140,7 +140,7 @@ Value Evaluator::EvaluateCell(const Cell& cell) {
         for (const Cell& rc : EnumerateCells(ref.range)) {
           // Only uncached formula cells need resolution; gray ones are
           // ancestors (a cycle) and evaluate to #CYCLE! on read.
-          if (Lookup(rc) == nullptr && !in_progress_.contains(rc) &&
+          if (FindCached(rc) == nullptr && !in_progress_.contains(rc) &&
               sheet_->IsFormulaCell(rc)) {
             stack.push_back(Frame{rc, false});
           }

@@ -19,17 +19,9 @@ namespace taco {
 
 /// Evaluates cells of a Sheet. Results are cached per cell; Invalidate()
 /// drops cache entries when cells change (the recalc engine drives this).
-///
-/// Overlay evaluators: the parallel recalc scheduler gives each worker
-/// its own Evaluator whose `base` points at the engine's main evaluator.
-/// Lookups consult the local cache first, then the base's cache
-/// read-only; computed values land only in the local cache. While the
-/// overlay is in use the base must not be mutated (the scheduler's wave
-/// barrier guarantees this), which makes concurrent overlay reads safe.
 class Evaluator {
  public:
-  explicit Evaluator(const Sheet* sheet, const Evaluator* base = nullptr)
-      : sheet_(sheet), base_(base) {}
+  explicit Evaluator(const Sheet* sheet) : sheet_(sheet) {}
 
   /// The value of `cell`: literals convert directly, formulas evaluate
   /// recursively. Unknown functions yield #NAME?, cycles #CYCLE!.
@@ -48,15 +40,15 @@ class Evaluator {
     MaybeShrink();
   }
 
-  /// Inserts an already-computed value into the cache — how the parallel
-  /// scheduler commits a wave's results back into the engine's main
-  /// evaluator. Overwrites any stale entry.
+  /// Inserts an already-computed value into the cache — how a cutoff
+  /// pass restores a pruned cell's prior value. Overwrites any stale
+  /// entry.
   void Prime(const Cell& cell, Value value) {
     cache_[cell] = std::move(value);
   }
 
-  /// The locally cached value of `cell` (not consulting the base), or
-  /// nullptr when uncached. The pointer is invalidated by any mutation.
+  /// The cached value of `cell`, or nullptr when uncached. The pointer
+  /// is invalidated by any mutation.
   const Value* FindCached(const Cell& cell) const {
     auto it = cache_.find(cell);
     return it == cache_.end() ? nullptr : &it->second;
@@ -90,24 +82,7 @@ class Evaluator {
   /// Rehashes the cache down after bulk erasure leaves it sparse.
   void MaybeShrink();
 
-  /// Cached value of `cell` in the base's cache or the local one;
-  /// nullptr when neither holds it. Base first: for overlay evaluators
-  /// almost every hit is a clean or committed cell in the shared cache,
-  /// so the hot read costs one hash probe instead of two. The order is
-  /// semantically free — both caches derive from the same committed
-  /// state, so they never disagree on a cell they both hold; the local
-  /// cache only adds cells the base lacks (lazily computed leaves and
-  /// clean formulas of the current pass).
-  const Value* Lookup(const Cell& cell) const {
-    if (base_ != nullptr) {
-      if (const Value* cached = base_->FindCached(cell)) return cached;
-    }
-    auto it = cache_.find(cell);
-    return it == cache_.end() ? nullptr : &it->second;
-  }
-
   const Sheet* sheet_;
-  const Evaluator* base_ = nullptr;  ///< Read-only fallback cache layer.
   std::unordered_map<Cell, Value> cache_;
   std::unordered_set<Cell> in_progress_;
 };

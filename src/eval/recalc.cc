@@ -41,8 +41,9 @@ Edit Edit::ClearRange(const Range& range) {
   return edit;
 }
 
-RecalcEngine::RecalcEngine(Sheet* sheet, DependencyGraph* graph)
-    : sheet_(sheet), graph_(graph), evaluator_(sheet) {}
+RecalcEngine::RecalcEngine(Sheet* sheet, DependencyGraph* graph,
+                           SchedulerOptions budgets)
+    : sheet_(sheet), graph_(graph), evaluator_(sheet), scheduler_(budgets) {}
 
 uint64_t RecalcEngine::FindDirty(std::span<const Range> changed,
                                  std::vector<Range>* seeds,
@@ -78,7 +79,7 @@ RecalcResult RecalcEngine::RecalculateMerged(std::span<const Range> changed) {
   for (const Range& range : result.dirty) evaluator_.Invalidate(range);
 
   auto eval_start = SteadyNow();
-  RecalcScheduler::Outcome outcome = scheduler().Execute(
+  RecalcScheduler::Outcome outcome = scheduler_.Execute(
       *sheet_, &evaluator_, result.dirty, cut ? &ctx : nullptr);
   result.eval_ns = NsSince(eval_start);
   result.eval_ms = double(result.eval_ns) / 1e6;
@@ -87,7 +88,6 @@ RecalcResult RecalcEngine::RecalculateMerged(std::span<const Range> changed) {
   result.dirty_formulas = outcome.dirty_formulas;
   result.waves = outcome.waves;
   result.max_wave_cells = outcome.max_wave_cells;
-  result.barrier_wait_ns = outcome.barrier_wait_ns;
   return result;
 }
 
@@ -96,8 +96,9 @@ RecalcEngine::ExplainInfo RecalcEngine::Explain(const Range& target) {
   info.cutoff = cutoff_;
   info.find_dependents_ns =
       FindDirty({&target, 1}, &info.seeds, &info.dirty, &info.dirty_cells);
-  info.plan = scheduler().Plan(*sheet_, info.dirty, info.seeds,
-                               CutoffApplies(info.dirty_cells));
+  // The planner, not CutoffApplies, judges `max_cells` here, so a
+  // cutoff session's plan names the budget that ran its pass uncut.
+  info.plan = scheduler_.Plan(*sheet_, info.dirty, info.seeds, cutoff_);
   return info;
 }
 

@@ -46,7 +46,6 @@ struct RecalcResult {
   /// which a double-ms aggregate quietly rounds into noise.
   uint64_t find_dependents_ns = 0;
   uint64_t eval_ns = 0;
-  uint64_t barrier_wait_ns = 0;    ///< Wave-barrier wait (pooled waves only).
   uint64_t waves = 0;              ///< Topological waves (0 = serial-inline).
   uint64_t max_wave_cells = 0;     ///< Largest wave, in formula cells.
 };
@@ -79,8 +78,10 @@ using EditBatch = std::vector<Edit>;
 class RecalcEngine {
  public:
   /// `sheet` and `graph` must outlive the engine. The graph must already
-  /// reflect the sheet's dependencies (BuildGraphFromSheet).
-  RecalcEngine(Sheet* sheet, DependencyGraph* graph);
+  /// reflect the sheet's dependencies (BuildGraphFromSheet). `budgets`
+  /// bound cutoff planning; only tests shrink them.
+  RecalcEngine(Sheet* sheet, DependencyGraph* graph,
+               SchedulerOptions budgets = {});
 
   /// Updates a literal cell and recalculates its dependents.
   Result<RecalcResult> SetNumber(const Cell& cell, double value);
@@ -134,8 +135,8 @@ class RecalcEngine {
   /// immutable ValueVersion succeeding the last published one, covering
   /// `touched` (the commit's seed rectangles plus its dirty ranges).
   /// Every commit calls this identically — by the scheduler's contract
-  /// the evaluator cache holds the same committed values at any width,
-  /// so the published version is width-independent.
+  /// the evaluator cache holds the same committed values whichever plan
+  /// ran, so the published version is plan-independent.
   /// NOT thread-safe; the caller serializes it with mutations (the
   /// session lock) and hands the result to readers via an atomic store.
   std::shared_ptr<const ValueVersion> PublishVersion(
@@ -145,12 +146,6 @@ class RecalcEngine {
   const std::shared_ptr<const ValueVersion>& latest_version() const {
     return version_;
   }
-
-  /// Plugs in (or clears, with null) a shared wave scheduler, which
-  /// must outlive the engine. Without one the engine runs every pass
-  /// through its own pool-less scheduler, i.e. at width 1. Switching
-  /// between operations is safe: each pass consults it at the start.
-  void set_scheduler(RecalcScheduler* scheduler) { scheduler_ = scheduler; }
 
   /// Toggles value-change cutoff: recalc passes compare each committed
   /// value against its prior and prune dependents reachable only
@@ -170,13 +165,10 @@ class RecalcEngine {
   /// one de-duplicated pass.
   RecalcResult RecalculateMerged(std::span<const Range> changed);
 
-  RecalcScheduler& scheduler() {
-    return scheduler_ != nullptr ? *scheduler_ : own_scheduler_;
-  }
   /// Cutoff applies to a pass when enabled and the dirty area is within
   /// the scheduler's `max_cells` (the bound on prior capture).
-  bool CutoffApplies(uint64_t dirty_cells) {
-    return cutoff_ && dirty_cells <= scheduler().options().max_cells;
+  bool CutoffApplies(uint64_t dirty_cells) const {
+    return cutoff_ && dirty_cells <= scheduler_.options().max_cells;
   }
 
   /// Mutates sheet + graph for one edit without recalculating; appends
@@ -186,8 +178,7 @@ class RecalcEngine {
   Sheet* sheet_;
   DependencyGraph* graph_;
   Evaluator evaluator_;
-  RecalcScheduler own_scheduler_{nullptr};
-  RecalcScheduler* scheduler_ = nullptr;  ///< Plugged in; null = own.
+  RecalcScheduler scheduler_;
   bool cutoff_ = false;
   std::shared_ptr<const ValueVersion> version_;  ///< Last published.
 };

@@ -1,7 +1,7 @@
 // TCP transport for the workbook service: a POSIX socket server that
 // frames the line protocol and dispatches into the shared
 // CommandProcessor, so socket clients and the stdin loop of taco_serve
-// serve the SAME sessions, metrics, and recalc pools.
+// serve the SAME sessions and metrics.
 //
 // Model: one accept thread plus one thread per connection. Each
 // connection feeds its bytes to its own CommandFramer (protocol.h) — the

@@ -337,11 +337,9 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
     }
     char buffer[192];
     std::snprintf(buffer, sizeof(buffer),
-                  "OK service resident=%zu parked=%zu evictions=%llu "
-                  "recalc_workers=%d\n",
+                  "OK service resident=%zu parked=%zu evictions=%llu\n",
                   service_->resident_sessions(), service_->parked_sessions(),
-                  static_cast<unsigned long long>(service_->evictions()),
-                  service_->recalc_threads());
+                  static_cast<unsigned long long>(service_->evictions()));
     const TransportCounters& t = service_->metrics().transport();
     char conn[192];
     std::snprintf(conn, sizeof(conn),
@@ -415,7 +413,6 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
       }
     }
     return "OK recalc " + std::string(name) +
-           " threads=" + std::to_string(service_->recalc_threads()) +
            " cutoff=" + ((*session)->cutoff() ? "on" : "off");
   }
   if (EqualsIgnoreCase(cmd, "METRICS")) {
@@ -470,8 +467,6 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
 
     std::string out = "OK explain session=" + std::string(name) +
                       " target=" + ref->range.ToString() +
-                      std::string(" mode=") +
-                      (plan.width > 1 ? "parallel" : "serial") +
                       " seeds=" + std::to_string(info.seeds.size()) +
                       " dirty_ranges=" + std::to_string(info.dirty.size()) +
                       " dirty_cells=" + std::to_string(info.dirty_cells) +
@@ -480,22 +475,29 @@ std::string CommandProcessor::ExecuteInner(std::string_view command_text) {
                       std::to_string(info.find_dependents_ns / 1000);
     out += "\nPLAN granularity=" + std::string(plan.granularity_name()) +
            " decision=" + plan.decision +
-           " width=" + std::to_string(plan.width) +
            " formulas=" + std::to_string(plan.dirty_formulas) +
            " edges=" + std::to_string(plan.edges) +
            " waves=" + std::to_string(plan.waves()) +
            " max_wave_cells=" + std::to_string(plan.max_wave_cells()) +
            " cycle_cells=" + std::to_string(plan.cycle_cells);
-    for (size_t i = 0; i < plan.wave_cells.size(); ++i) {
-      out += "\nWAVE " + std::to_string(i + 1) +
-             " cells=" + std::to_string(plan.wave_cells[i]);
-      // cutoff_eligible is the planner's UPPER BOUND on prunable cells:
-      // those with no direct seed input. How many actually skip depends
-      // on runtime value comparisons a dry run cannot make.
-      if (plan.cutoff && i < plan.wave_cutoff_eligible.size()) {
-        out += " cutoff_eligible=" +
-               std::to_string(plan.wave_cutoff_eligible[i]);
+    // One line per run of consecutive waves with the same shape, so a
+    // chain's thousands of one-cell waves answer in a line or two. Only
+    // cutoff passes run in waves; cutoff_eligible is the planner's UPPER
+    // BOUND on prunable cells: those with no direct seed input. How many
+    // actually skip depends on runtime value comparisons a dry run
+    // cannot make.
+    const std::vector<uint64_t>& cells = plan.wave_cells;
+    const std::vector<uint64_t>& eligible = plan.wave_cutoff_eligible;
+    for (size_t first = 0, last = 0; first < cells.size(); first = ++last) {
+      while (last + 1 < cells.size() && cells[last + 1] == cells[first] &&
+             eligible[last + 1] == eligible[first]) {
+        ++last;
       }
+      out += first == last ? "\nWAVE " + std::to_string(first + 1)
+                           : "\nWAVES " + std::to_string(first + 1) + ".." +
+                                 std::to_string(last + 1);
+      out += " cells=" + std::to_string(cells[first]) +
+             " cutoff_eligible=" + std::to_string(eligible[first]);
     }
     // Phase-time estimates from recent history: scale the per-dirty-cell
     // eval cost and the mean fsync of the newest spans to this plan.

@@ -9,7 +9,8 @@
 //   LOAD <session> <path>             read a binary snapshot or .tsheet
 //                                     file (+ WAL tail)
 //   SAVE <session> [path]             write a binary snapshot to the
-//                                     bound / given path
+//                                     bound / given path (a .tsheet
+//                                     path is refused)
 //   CHECKPOINT <session> [path]       SAVE + WAL rotation, by its
 //                                     durability name
 //   STORAGE <session>                 WAL / bound-path report
@@ -27,9 +28,9 @@
 //     SET <cell> <value> | FORMULA <cell> <src> | CLEAR <range>
 //   RECALC <session> [cutoff on|off]  query / toggle value-change cutoff
 //   EXPLAIN <session> <cell-or-range> -> OK explain ..., then the dry-run
-//                                        recalc plan (PLAN / WAVE / EST
-//                                        lines), then END — commits
-//                                        nothing
+//                                        recalc plan (PLAN, WAVE or
+//                                        run-length WAVES, EST lines),
+//                                        then END — commits nothing
 //   STATS [session]                   service / session report
 //   LIST                              resident session names
 //   METRICS                           -> OK metrics, then the Prometheus

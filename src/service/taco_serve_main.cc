@@ -2,9 +2,9 @@
 // stdin/stdout by default (one request line in, one response out,
 // suitable for piping and scripting), or as a real TCP daemon with
 // --listen <port> (src/net/socket_server.h): N concurrent clients share
-// the same sessions, metrics, and recalc pools the stdin loop uses.
+// the same sessions and metrics the stdin loop uses.
 //
-//   $ ./taco_serve [--recalc-threads N] [--cutoff] [--wal-dir DIR]
+//   $ ./taco_serve [--cutoff] [--wal-dir DIR]
 //                  [--max-resident N] [--metrics-port P] [--slow-op-ms T]
 //                  [--log-file PATH] [--log-level L] [--log-format F]
 //                  [script]
@@ -160,9 +160,9 @@ int RunListenMode(WorkbookService* service, const SocketServerOptions& opts,
 
   std::fprintf(stderr,
                "taco_serve listening on %s:%u (max_clients=%d "
-               "idle_timeout_ms=%d recalc_workers=%d)\n",
+               "idle_timeout_ms=%d)\n",
                opts.bind_address.c_str(), server.port(), opts.max_clients,
-               opts.idle_timeout_ms, service->recalc_threads());
+               opts.idle_timeout_ms);
   if (logger != nullptr) {
     logger->Log(obs::LogLevel::kInfo, "server.start",
                 {{"bind", opts.bind_address},
@@ -230,20 +230,12 @@ int main(int argc, char** argv) {
   const char* script_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--recalc-threads") == 0 && i + 1 < argc) {
-      // 0 (the default) keeps the wave scheduler off, so the value must
-      // parse fully — a typo silently becoming 0 would disable parallel
-      // recalc without a trace (same hazard as --max-resident below).
-      const char* text = argv[++i];
-      char* end = nullptr;
-      long value = std::strtol(text, &end, 10);
-      if (end != text && *end == '\0' && value >= 0) {
-        options.recalc_threads = static_cast<int>(value);
-      } else {
-        std::fprintf(stderr,
-                     "ignoring --recalc-threads '%s' (not a non-negative "
-                     "integer); keeping %d\n",
-                     text, options.recalc_threads);
-      }
+      // Accepted so existing launch scripts keep working; the value is
+      // consumed (not taken for a script path) and changes nothing.
+      ++i;
+      std::fprintf(stderr,
+                   "ignoring --recalc-threads: recalc runs on the session "
+                   "thread\n");
     } else if (std::strcmp(argv[i], "--wal-dir") == 0 && i + 1 < argc) {
       // Fail up front on an unusable directory: discovering it per-edit
       // would leave every acknowledged edit applied in memory but not
@@ -337,8 +329,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::fprintf(
           stderr,
-          "usage: taco_serve [--recalc-threads N] [--cutoff] "
-          "[--wal-dir DIR] "
+          "usage: taco_serve [--cutoff] [--wal-dir DIR] "
           "[--max-resident N] [--metrics-port PORT] [--slow-op-ms T] "
           "[--log-file PATH] [--log-level debug|info|warn|error] "
           "[--log-format json|text] [--rid-errors] [script]\n"
@@ -395,9 +386,7 @@ int main(int argc, char** argv) {
   }
 
   std::fprintf(stderr,
-               "taco_serve ready (recalc_workers=%d cutoff=%s "
-               "wal=%s max_resident=%zu)\n",
-               service.recalc_threads(),
+               "taco_serve ready (cutoff=%s wal=%s max_resident=%zu)\n",
                options.cutoff ? "on" : "off",
                options.wal_dir.empty() ? "(off)" : options.wal_dir.c_str(),
                options.max_resident_sessions);

@@ -42,13 +42,6 @@ WorkbookService::WorkbookService(WorkbookServiceOptions options)
     };
     group_committer_ = std::make_unique<GroupCommitter>(std::move(gc));
   }
-  if (options_.recalc_threads > 0) {
-    recalc_pool_ = std::make_unique<ThreadPool>(options_.recalc_threads);
-    SchedulerOptions sched = options_.scheduler;
-    sched.threads = options_.recalc_threads;
-    recalc_scheduler_ =
-        std::make_unique<RecalcScheduler>(recalc_pool_.get(), sched);
-  }
 }
 
 WorkbookService::Shard& WorkbookService::ShardFor(const std::string& name) {
@@ -137,9 +130,6 @@ Result<std::shared_ptr<WorkbookSession>> WorkbookService::MakeSession(
     // empty-session fast path). Recovered sessions AdoptWal afterwards,
     // replacing the armed path with the already-open log.
     session->ArmWal(WalPathFor(name), WalOptionsFor(name));
-  }
-  if (recalc_scheduler_ != nullptr) {
-    session->EnableParallelRecalc(recalc_scheduler_.get());
   }
   if (options_.cutoff) session->SetCutoff(true);
   Touch(*session);

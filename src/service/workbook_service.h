@@ -17,8 +17,9 @@
 // Execution: commands run on their caller's thread (a socket
 // connection's, or taco_serve's main thread in stdin mode), so one
 // connection's commands apply in arrival order while different
-// connections run in parallel. The only pool the service owns is the
-// parallel-recalc pool.
+// connections run in parallel. Recalc runs on the thread of the command
+// that holds the session lock: the service owns no worker pool (its one
+// background thread is the WAL group committer).
 
 #ifndef TACO_SERVICE_WORKBOOK_SERVICE_H_
 #define TACO_SERVICE_WORKBOOK_SERVICE_H_
@@ -33,8 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sched/recalc_scheduler.h"
-#include "sched/thread_pool.h"
 #include "service/metrics.h"
 #include "service/workbook_session.h"
 
@@ -44,17 +43,8 @@ struct WorkbookServiceOptions {
   int shards = 8;                    ///< Session-map shards (>= 1).
   size_t max_resident_sessions = 64; ///< LRU bound; 0 = unbounded.
 
-  /// Width of the shared parallel-recalc pool. 0 means no pool: every
-  /// session recalcs through its engine's own scheduler at width 1.
-  int recalc_threads = 0;
-
-  /// Wave-scheduler tuning (budgets, inline thresholds); `threads` is
-  /// overridden by `recalc_threads`.
-  SchedulerOptions scheduler;
-
   /// Start every session with value-change cutoff recalculation enabled
   /// (taco_serve --cutoff; RECALC <s> cutoff on|off toggles per session).
-  /// Works with or without the wave scheduler.
   bool cutoff = false;
 
   /// Directory for per-session write-ahead logs. Empty disables WAL:
@@ -141,12 +131,6 @@ class WorkbookService {
   /// Names are filesystem-escaped, so any protocol-legal session name
   /// maps to a distinct file inside wal_dir.
   std::string WalPathFor(const std::string& name) const;
-
-  /// The shared wave scheduler (null when recalc_threads == 0).
-  RecalcScheduler* recalc_scheduler() { return recalc_scheduler_.get(); }
-  int recalc_threads() const {
-    return recalc_pool_ ? recalc_pool_->num_threads() : 0;
-  }
 
  private:
   /// A load/reload in progress for one name: inserted under the shard
@@ -241,11 +225,6 @@ class WorkbookService {
   std::atomic<bool> evicting_{false};
 
   ServiceMetrics metrics_;
-
-  /// Dedicated pool and scheduler for intra-session parallel recalc,
-  /// shared by all sessions (the scheduler holds no per-pass state).
-  std::unique_ptr<ThreadPool> recalc_pool_;
-  std::unique_ptr<RecalcScheduler> recalc_scheduler_;
 };
 
 }  // namespace taco

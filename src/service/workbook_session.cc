@@ -284,11 +284,6 @@ RecalcEngine::ExplainInfo WorkbookSession::Explain(const Range& target) {
   return engine_.Explain(target);
 }
 
-void WorkbookSession::EnableParallelRecalc(RecalcScheduler* scheduler) {
-  std::lock_guard<std::mutex> lock(mu_);
-  engine_.set_scheduler(scheduler);
-}
-
 void WorkbookSession::SetCutoff(bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
   engine_.set_cutoff(enabled);
@@ -416,6 +411,12 @@ void WorkbookSession::AdoptWal(std::unique_ptr<WriteAheadLog> wal,
 Status WorkbookSession::Save(const std::string& path, ServiceOp op) {
   auto start = SteadyNow();
   Status status = [&] {
+    if (std::filesystem::path(path).extension() == ".tsheet") {
+      return Status::InvalidArgument(
+          "'" + path +
+          "' names a .tsheet text file; SAVE writes binary snapshots "
+          "(use .tsnap)");
+    }
     std::lock_guard<std::mutex> lock(mu_);
     std::string target = path;
     if (target.empty()) {

@@ -103,7 +103,7 @@ class WorkbookSession {
                                   RecalcResult* partial = nullptr);
 
   /// The EXPLAIN dry run: what a mutation of `target` would dirty and
-  /// how the active recalc path would schedule it. Takes the session
+  /// how the recalc planner would run it. Takes the session
   /// lock (the graph must not move underneath the closure query) but
   /// mutates nothing — no WAL append, no version publish, no recalc.
   RecalcEngine::ExplainInfo Explain(const Range& target);
@@ -116,16 +116,9 @@ class WorkbookSession {
   /// The caller bounds the range area; this enumerates every cell of it.
   RangeSnapshot GetRange(const Range& range);
 
-  /// Plugs in the service's shared wave scheduler (null unplugs it: the
-  /// engine's own pool-less scheduler runs at width 1). `scheduler` must
-  /// outlive the session (the service owns both). Called by the service
-  /// before the session is published; safe to call on a live session
-  /// too (takes the lock).
-  void EnableParallelRecalc(RecalcScheduler* scheduler);
-
   /// Toggles value-change cutoff recalculation (default off; see
-  /// eval/cutoff.h). Works at any recalc width and keeps results
-  /// cell-for-cell identical to full recalc.
+  /// eval/cutoff.h). Keeps results cell-for-cell identical to full
+  /// recalc.
   void SetCutoff(bool enabled);
   bool cutoff() const;
 
@@ -147,8 +140,10 @@ class WorkbookSession {
   /// Saves to `path` (or the bound path when empty) and clears the dirty
   /// flag. Binding: a successful save remembers `path` for next time.
   /// A path-less save of a session whose bound file was read as .tsheet
-  /// text writes `<stem>.tsnap` beside it instead and rebinds there, so
-  /// binary bytes never land under a text file's name.
+  /// text writes `<stem>.tsnap` beside it instead and rebinds there, and
+  /// an explicit `.tsheet` path is refused (InvalidArgument, nothing
+  /// written, binding and WAL untouched), so binary bytes never land
+  /// under a text file's name.
   /// Every save is a full checkpoint: a binary snapshot via
   /// temp-then-rename+fsync (SaveSheetBinaryFile), then WAL rotation (the
   /// fresh log's header records the snapshot path), so recovery never

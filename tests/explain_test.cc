@@ -16,7 +16,6 @@
 #include "eval/recalc.h"
 #include "graph/nocomp_graph.h"
 #include "sched/recalc_scheduler.h"
-#include "sched/thread_pool.h"
 #include "sheet/sheet.h"
 #include "taco/taco_graph.h"
 
@@ -28,33 +27,22 @@ std::unique_ptr<DependencyGraph> MakeGraph(bool taco) {
   return std::make_unique<NoCompGraph>();
 }
 
-/// Sheet + graph + engine, optionally wired to a wave scheduler.
+/// Sheet + graph + engine. Waves are the cutoff plan, so `cutoff`
+/// decides whether a pass can plan them at all.
 struct Rig {
-  Rig(bool taco, RecalcScheduler* scheduler)
-      : graph(MakeGraph(taco)), engine(&sheet, graph.get()) {
-    engine.set_scheduler(scheduler);
+  Rig(bool taco, bool cutoff, SchedulerOptions budgets = {})
+      : graph(MakeGraph(taco)), engine(&sheet, graph.get(), budgets) {
+    engine.set_cutoff(cutoff);
   }
   Sheet sheet;
   std::unique_ptr<DependencyGraph> graph;
   RecalcEngine engine;
 };
 
-/// No serial fast path, every wave dispatched — tiny workloads still
-/// exercise the planner's wave machinery.
-SchedulerOptions EagerOptions() {
-  SchedulerOptions options;
-  options.threads = 3;
-  options.min_parallel_cells = 1;
-  options.min_parallel_wave = 1;
-  return options;
-}
-
 class ExplainTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ExplainTest, FanOutPlansOneWaveAndExecutionAgrees) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
+  Rig rig(GetParam(), /*cutoff=*/true);
 
   constexpr int kRows = 200;
   ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 10.0).ok());
@@ -65,7 +53,6 @@ TEST_P(ExplainTest, FanOutPlansOneWaveAndExecutionAgrees) {
   ASSERT_TRUE(rig.engine.ApplyBatch(setup).ok());
 
   RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_EQ(info.plan.width, 3);
   EXPECT_EQ(info.seeds.size(), 1u);
   EXPECT_EQ(info.dirty_cells, static_cast<uint64_t>(kRows));
   EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kCellGranular);
@@ -88,9 +75,7 @@ TEST_P(ExplainTest, FanOutPlansOneWaveAndExecutionAgrees) {
 }
 
 TEST_P(ExplainTest, ChainPlansOneWavePerLinkAndExecutionAgrees) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
+  Rig rig(GetParam(), /*cutoff=*/true);
 
   constexpr int kRows = 150;
   ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 1.0).ok());
@@ -119,9 +104,7 @@ TEST_P(ExplainTest, ChainPlansOneWavePerLinkAndExecutionAgrees) {
 }
 
 TEST_P(ExplainTest, CycleMembersNeverScheduleIntoWaves) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
+  Rig rig(GetParam(), /*cutoff=*/true);
 
   // A1 <-> B1 cycle seeded off D1; no downstream, so the dirty set is
   // exactly the two cycle members — Kahn never readies either.
@@ -146,9 +129,7 @@ TEST_P(ExplainTest, CycleMembersNeverScheduleIntoWaves) {
 }
 
 TEST_P(ExplainTest, CycleDownstreamCountsTowardCycleCells) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
+  Rig rig(GetParam(), /*cutoff=*/true);
 
   ASSERT_TRUE(rig.engine.SetNumber(Cell{4, 1}, 1.0).ok());
   EditBatch setup;
@@ -172,36 +153,10 @@ TEST_P(ExplainTest, CycleDownstreamCountsTowardCycleCells) {
   EXPECT_EQ(rig.engine.GetValue(Cell{3, 2}), Value::Number(20.0));
 }
 
-TEST_P(ExplainTest, TinyDirtySetsPlanSerialInlineWithNamedThreshold) {
-  ThreadPool pool(3);
-  SchedulerOptions options;
-  options.threads = 3;
-  options.min_parallel_cells = 1000;
-  RecalcScheduler scheduler(&pool, options);
-  Rig rig(GetParam(), &scheduler);
-
-  ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 2.0).ok());
-  ASSERT_TRUE(rig.engine.SetFormula(Cell{2, 1}, "A1*3").ok());
-  ASSERT_TRUE(rig.engine.SetFormula(Cell{2, 2}, "B1+1").ok());
-
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  // The decision token names the threshold that short-circuited.
-  EXPECT_NE(info.plan.decision.find("min_parallel_cells"), std::string::npos)
-      << info.plan.decision;
-  EXPECT_EQ(info.plan.waves(), 0u);
-
-  auto result = rig.engine.SetNumber(Cell{1, 1}, 4.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, 0u);
-}
-
 TEST_P(ExplainTest, EdgeBudgetOverflowPlansSerialInline) {
-  ThreadPool pool(3);
-  SchedulerOptions options = EagerOptions();
-  options.max_edges = 4;  // per-cell expansion aborts immediately
-  RecalcScheduler scheduler(&pool, options);
-  Rig rig(GetParam(), &scheduler);
+  SchedulerOptions budgets;
+  budgets.max_edges = 4;  // per-cell expansion aborts immediately
+  Rig rig(GetParam(), /*cutoff=*/true, budgets);
 
   constexpr int kRows = 40;
   EditBatch setup;
@@ -247,25 +202,23 @@ void BuildFragmentedChain(RecalcEngine* engine) {
   }
 }
 
-TEST_P(ExplainTest, FragmentedDirtySetsSkipPlanningButStillCut) {
+TEST_P(ExplainTest, FragmentedDirtySetsPlanWavesOnlyUnderCutoff) {
   constexpr int kLinks = kFragmentedLinks;
-  ThreadPool pool(3);
-  SchedulerOptions options = EagerOptions();
-  options.max_ranges = 2;  // Fewer than the chain's disjoint ranges.
-  RecalcScheduler scheduler(&pool, options);
-  Rig rig(GetParam(), &scheduler);
+  Rig rig(GetParam(), /*cutoff=*/false);
   BuildFragmentedChain(&rig.engine);
 
-  // Without cutoff the pass skips planning.
+  // Without cutoff the pass runs serial-inline, whatever its shape, and
+  // the plan still counts every formula it will evaluate.
   RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  ASSERT_GT(info.dirty.size(), options.max_ranges);
+  EXPECT_EQ(info.dirty.size(), static_cast<size_t>(kLinks));
   EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  EXPECT_NE(info.plan.decision.find("max_ranges"), std::string::npos)
-      << info.plan.decision;
+  EXPECT_EQ(info.plan.decision, "cutoff(off)");
+  EXPECT_EQ(info.plan.dirty_formulas, static_cast<uint64_t>(kLinks));
   auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->waves, 0u);
   EXPECT_EQ(result->recalculated, static_cast<uint64_t>(kLinks));
+  EXPECT_EQ(result->dirty_formulas, info.plan.dirty_formulas);
 
   // With cutoff, cell-granular waves don't depend on the range count.
   rig.engine.set_cutoff(true);
@@ -279,11 +232,10 @@ TEST_P(ExplainTest, FragmentedDirtySetsSkipPlanningButStillCut) {
   EXPECT_EQ(result->cells_skipped_cutoff, static_cast<uint64_t>(kLinks - 1));
 
   // Past the edge budget the pass runs serial-inline, uncut.
-  options.max_edges = 1;
-  RecalcScheduler tight(&pool, options);
-  Rig tight_rig(GetParam(), &tight);
+  SchedulerOptions budgets;
+  budgets.max_edges = 1;
+  Rig tight_rig(GetParam(), /*cutoff=*/true, budgets);
   BuildFragmentedChain(&tight_rig.engine);
-  tight_rig.engine.set_cutoff(true);
   info = tight_rig.engine.Explain(Range(1, 1, 1, 1));
   EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
   EXPECT_NE(info.plan.decision.find(">max_edges(1)"), std::string::npos)
@@ -297,38 +249,11 @@ TEST_P(ExplainTest, FragmentedDirtySetsSkipPlanningButStillCut) {
             rig.engine.GetValue(Cell{2, 2 * kLinks - 1}));
 }
 
-TEST_P(ExplainTest, SerialInlinePlanCountsEveryDirtyFormula) {
-  // A dirty area past max_cells: the plan's formula count must still
-  // cover every range the serial pass evaluates.
-  ThreadPool pool(3);
-  SchedulerOptions options = EagerOptions();
-  options.max_ranges = 2;
-  options.max_cells = 4;
-  RecalcScheduler scheduler(&pool, options);
-  Rig rig(GetParam(), &scheduler);
-  BuildFragmentedChain(&rig.engine);
-
-  RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  EXPECT_EQ(info.plan.decision, "dirty_ranges(6)>max_ranges(2)");
-  EXPECT_EQ(info.plan.dirty_formulas,
-            static_cast<uint64_t>(kFragmentedLinks));
-
-  auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->waves, 0u);
-  EXPECT_EQ(result->dirty_formulas, info.plan.dirty_formulas);
-  EXPECT_EQ(result->recalculated, info.plan.dirty_formulas);
-}
-
 TEST_P(ExplainTest, CutoffPassOverMaxCellsPlansSerialInlineUncut) {
-  ThreadPool pool(3);
-  SchedulerOptions options = EagerOptions();
-  options.max_cells = 4;  // The chain dirties 6 cells.
-  RecalcScheduler scheduler(&pool, options);
-  Rig rig(GetParam(), &scheduler);
+  SchedulerOptions budgets;
+  budgets.max_cells = 4;  // The chain dirties 6 cells.
+  Rig rig(GetParam(), /*cutoff=*/true, budgets);
   BuildFragmentedChain(&rig.engine);
-  rig.engine.set_cutoff(true);
 
   // The absorber swallows the edit, so a cut pass would prune 5 links;
   // over max_cells the pass runs without cutoff instead.
@@ -350,10 +275,7 @@ TEST_P(ExplainTest, CutoffPassOverMaxCellsPlansSerialInlineUncut) {
 }
 
 TEST_P(ExplainTest, CutoffPlansPerWaveEligibilityAndExecutionPrunes) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
-  rig.engine.set_cutoff(true);
+  Rig rig(GetParam(), /*cutoff=*/true);
 
   // Absorbing chain: B1 collapses A1 to 0/1, B2..B6 each add one. An
   // edit that doesn't flip the absorber changes nothing past wave 1.
@@ -416,9 +338,7 @@ TEST_P(ExplainTest, CutoffPlansPerWaveEligibilityAndExecutionPrunes) {
 }
 
 TEST_P(ExplainTest, ExplainIsSideEffectFreeAndRepeatable) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig rig(GetParam(), &scheduler);
+  Rig rig(GetParam(), /*cutoff=*/true);
 
   ASSERT_TRUE(rig.engine.SetNumber(Cell{1, 1}, 10.0).ok());
   for (int r = 1; r <= 20; ++r) {
@@ -444,15 +364,13 @@ TEST_P(ExplainTest, ExplainIsSideEffectFreeAndRepeatable) {
   EXPECT_EQ(version_after, version_before);
 }
 
-TEST_P(ExplainTest, NoPoolPlansSerialInlineAtWidthOne) {
-  // No scheduler plugged: the engine's own pool-less one plans the pass.
-  Rig bare(GetParam(), nullptr);
+TEST_P(ExplainTest, PassesWithoutCutoffPlanSerialInline) {
+  Rig bare(GetParam(), /*cutoff=*/false);
   ASSERT_TRUE(bare.engine.SetNumber(Cell{1, 1}, 1.0).ok());
   ASSERT_TRUE(bare.engine.SetFormula(Cell{2, 1}, "A1*2").ok());
   RecalcEngine::ExplainInfo info = bare.engine.Explain(Range(1, 1, 1, 1));
-  EXPECT_EQ(info.plan.width, 1);
   EXPECT_EQ(info.plan.granularity, RecalcPlan::Granularity::kSerialInline);
-  EXPECT_EQ(info.plan.decision, "width(1)<=1 no_pool(1)");
+  EXPECT_EQ(info.plan.decision, "cutoff(off)");
   EXPECT_EQ(info.plan.dirty_formulas, 1u);
 
   auto result = bare.engine.SetNumber(Cell{1, 1}, 2.0);
@@ -461,9 +379,7 @@ TEST_P(ExplainTest, NoPoolPlansSerialInlineAtWidthOne) {
   EXPECT_EQ(result->recalculated, 1u);
 }
 
-// The dirty-subgraph shapes of the width matrix below. Each has more
-// than SchedulerOptions' default min_parallel_cells formulas, so the
-// 2-thread rows build waves without cutoff too.
+// The dirty-subgraph shapes of the plan-vs-execution matrix below.
 enum class Shape { kChain, kFanOut, kMixed };
 
 /// Sets up `shape` off A1 = 10 and warms every formula (a cell without a
@@ -504,65 +420,37 @@ void BuildShape(Shape shape, RecalcEngine* engine) {
   }
 }
 
-TEST_P(ExplainTest, NoPoolAndOneThreadPoolAreOnePath) {
-  struct Row {
-    uint64_t recalculated, skipped, dirty_formulas, waves;
-  };
+TEST_P(ExplainTest, EveryShapePlansThePassExecutionRuns) {
   const std::pair<Shape, const char*> shapes[] = {
       {Shape::kChain, "chain"}, {Shape::kFanOut, "fan-out"},
       {Shape::kMixed, "mixed"}};
   for (const auto& [shape, shape_name] : shapes) {
     for (bool cutoff : {false, true}) {
-      std::vector<Row> rows;
-      for (int threads : {0, 1, 2}) {
-        SCOPED_TRACE(std::string(shape_name) + " cutoff=" +
-                     (cutoff ? "on" : "off") +
-                     " threads=" + std::to_string(threads));
-        std::unique_ptr<ThreadPool> pool;
-        std::unique_ptr<RecalcScheduler> scheduler;
-        if (threads > 0) {
-          pool = std::make_unique<ThreadPool>(threads);
-          SchedulerOptions options;
-          options.threads = threads;
-          scheduler = std::make_unique<RecalcScheduler>(pool.get(), options);
-        }
-        Rig rig(GetParam(), scheduler.get());
-        BuildShape(shape, &rig.engine);
-        rig.engine.set_cutoff(cutoff);
-
-        RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
-        EXPECT_EQ(info.plan.width, std::max(threads, 1));
-        // Only a cutoff-free pass at width 1 skips planning.
-        EXPECT_EQ(info.plan.granularity,
-                  !cutoff && threads < 2
-                      ? RecalcPlan::Granularity::kSerialInline
-                      : RecalcPlan::Granularity::kCellGranular)
-            << info.plan.decision;
-
-        // An edit the absorber swallows, so cutoff has something to prune.
-        auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
-        ASSERT_TRUE(result.ok());
-        EXPECT_EQ(result->waves, info.plan.waves());
-        EXPECT_EQ(result->max_wave_cells, info.plan.max_wave_cells());
-        EXPECT_EQ(result->dirty_formulas, info.plan.dirty_formulas);
-        EXPECT_EQ(result->recalculated + result->cells_skipped_cutoff,
-                  result->dirty_formulas);
-        if (!cutoff || shape != Shape::kMixed) {
-          EXPECT_EQ(result->cells_skipped_cutoff, 0u);
-        } else {
-          EXPECT_GT(result->cells_skipped_cutoff, 0u);
-        }
-        rows.push_back({result->recalculated, result->cells_skipped_cutoff,
-                        result->dirty_formulas, result->waves});
-      }
-      // No pool and a 1-thread pool run the same width-1 pass.
       SCOPED_TRACE(std::string(shape_name) +
                    " cutoff=" + (cutoff ? "on" : "off"));
-      ASSERT_EQ(rows.size(), 3u);
-      EXPECT_EQ(rows[0].recalculated, rows[1].recalculated);
-      EXPECT_EQ(rows[0].skipped, rows[1].skipped);
-      EXPECT_EQ(rows[0].dirty_formulas, rows[1].dirty_formulas);
-      EXPECT_EQ(rows[0].waves, rows[1].waves);
+      Rig rig(GetParam(), cutoff);
+      BuildShape(shape, &rig.engine);
+
+      RecalcEngine::ExplainInfo info = rig.engine.Explain(Range(1, 1, 1, 1));
+      // Only a cutoff pass plans waves.
+      EXPECT_EQ(info.plan.granularity,
+                cutoff ? RecalcPlan::Granularity::kCellGranular
+                       : RecalcPlan::Granularity::kSerialInline)
+          << info.plan.decision;
+
+      // An edit the absorber swallows, so cutoff has something to prune.
+      auto result = rig.engine.SetNumber(Cell{1, 1}, 20.0);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->waves, info.plan.waves());
+      EXPECT_EQ(result->max_wave_cells, info.plan.max_wave_cells());
+      EXPECT_EQ(result->dirty_formulas, info.plan.dirty_formulas);
+      EXPECT_EQ(result->recalculated + result->cells_skipped_cutoff,
+                result->dirty_formulas);
+      if (!cutoff || shape != Shape::kMixed) {
+        EXPECT_EQ(result->cells_skipped_cutoff, 0u);
+      } else {
+        EXPECT_GT(result->cells_skipped_cutoff, 0u);
+      }
     }
   }
 }

@@ -314,9 +314,7 @@ TEST_F(NetTransportTest, ShutdownWithClientsAttachedLeavesNoLeaks) {
 // TSan. Values on the shared session race by design; well-formedness
 // and per-client self-consistency are the assertions.
 TEST_F(NetTransportTest, ConcurrentClientsMixedTrafficSoak) {
-  WorkbookServiceOptions service_options;
-  service_options.recalc_threads = 2;  // Wave scheduler in the loop too.
-  StartServer({}, service_options);
+  StartServer();
 
   {
     SocketClient setup = Client();

@@ -1,10 +1,11 @@
-// Parallel recalculation determinism: an engine plugged into a pooled
-// wave scheduler must produce sheets CELL-FOR-CELL identical to one with
-// no pool (serial-inline evaluation in dirty-range enumeration order) —
-// values, error cells, and #CYCLE! patterns included — with
-// identical recalc_passes, across both planning granularities
-// (cell-granular Kahn waves, serial inline) and over-budget passes.
-// The randomized suites double as the TSan workload for the scheduler.
+// Wave recalculation determinism: value-change cutoff passes run as
+// cell-granular Kahn waves on the calling thread, and must leave sheets
+// CELL-FOR-CELL identical to full serial-inline recalc (dirty-range
+// enumeration order) — values, error cells, and #CYCLE! patterns
+// included — with identical recalc_passes. The fixed shapes pin the wave
+// structure (a fan-out is one wave, a chain one wave per link, cycles
+// replay in serial order); the randomized cutoff-vs-full suites below
+// cover every graph backend, in and over the planning budgets.
 
 #include <memory>
 #include <random>
@@ -20,7 +21,6 @@
 #include "eval/recalc.h"
 #include "graph/nocomp_graph.h"
 #include "sched/recalc_scheduler.h"
-#include "sched/thread_pool.h"
 #include "sheet/sheet.h"
 #include "taco/pattern.h"
 #include "taco/taco_graph.h"
@@ -33,11 +33,11 @@ std::unique_ptr<DependencyGraph> MakeGraph(bool taco) {
   return std::make_unique<NoCompGraph>();
 }
 
-/// Sheet + graph + engine, optionally wired to a wave scheduler.
+/// Sheet + graph + engine; `cutoff` selects the wave path.
 struct Rig {
-  Rig(bool taco, RecalcScheduler* scheduler)
-      : graph(MakeGraph(taco)), engine(&sheet, graph.get()) {
-    engine.set_scheduler(scheduler);
+  Rig(bool taco, bool cutoff, SchedulerOptions budgets = {})
+      : graph(MakeGraph(taco)), engine(&sheet, graph.get(), budgets) {
+    engine.set_cutoff(cutoff);
   }
   Sheet sheet;
   std::unique_ptr<DependencyGraph> graph;
@@ -45,36 +45,24 @@ struct Rig {
 };
 
 /// Asserts every cell of `range` evaluates identically in both rigs.
-void ExpectSameValues(Rig* serial, Rig* parallel, const Range& range) {
+void ExpectSameValues(Rig* serial, Rig* waves, const Range& range) {
   for (const Cell& cell : EnumerateCells(range)) {
     Value expected = serial->engine.GetValue(cell);
-    Value actual = parallel->engine.GetValue(cell);
+    Value actual = waves->engine.GetValue(cell);
     EXPECT_EQ(expected, actual)
         << "cell " << cell.ToString() << ": serial=" << expected.ToString()
-        << " parallel=" << actual.ToString();
+        << " waves=" << actual.ToString();
   }
-}
-
-/// Aggressive options: no serial fast path, every wave parallel, so even
-/// tiny workloads exercise the wave machinery.
-SchedulerOptions EagerOptions() {
-  SchedulerOptions options;
-  options.threads = 3;
-  options.min_parallel_cells = 1;
-  options.min_parallel_wave = 1;
-  return options;
 }
 
 class ParallelRecalcTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ParallelRecalcTest, FanOutRunsInOneWave) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig serial(GetParam(), nullptr);
-  Rig parallel(GetParam(), &scheduler);
+  Rig serial(GetParam(), /*cutoff=*/false);
+  Rig waves(GetParam(), /*cutoff=*/true);
 
   constexpr int kRows = 200;
-  for (Rig* rig : {&serial, &parallel}) {
+  for (Rig* rig : {&serial, &waves}) {
     ASSERT_TRUE(rig->engine.SetNumber(Cell{1, 1}, 10.0).ok());
     EditBatch setup;
     for (int r = 1; r <= kRows; ++r) {
@@ -85,26 +73,25 @@ TEST_P(ParallelRecalcTest, FanOutRunsInOneWave) {
   }
 
   auto serial_result = serial.engine.SetNumber(Cell{1, 1}, 3.0);
-  auto parallel_result = parallel.engine.SetNumber(Cell{1, 1}, 3.0);
+  auto wave_result = waves.engine.SetNumber(Cell{1, 1}, 3.0);
   ASSERT_TRUE(serial_result.ok());
-  ASSERT_TRUE(parallel_result.ok());
+  ASSERT_TRUE(wave_result.ok());
   // Wide fan-out: every dependent is independent of the others, so the
-  // whole dirty set executes as one wave.
-  EXPECT_EQ(parallel_result->waves, 1u);
-  EXPECT_EQ(parallel_result->max_wave_cells, static_cast<uint64_t>(kRows));
-  EXPECT_EQ(parallel_result->recalculated, serial_result->recalculated);
-  EXPECT_EQ(parallel_result->recalc_passes, serial_result->recalc_passes);
-  ExpectSameValues(&serial, &parallel, Range(1, 1, 2, kRows));
+  // whole dirty set is one wave. Every cell reads the seed: none prunes.
+  EXPECT_EQ(serial_result->waves, 0u);
+  EXPECT_EQ(wave_result->waves, 1u);
+  EXPECT_EQ(wave_result->max_wave_cells, static_cast<uint64_t>(kRows));
+  EXPECT_EQ(wave_result->recalculated, serial_result->recalculated);
+  EXPECT_EQ(wave_result->recalc_passes, serial_result->recalc_passes);
+  ExpectSameValues(&serial, &waves, Range(1, 1, 2, kRows));
 }
 
 TEST_P(ParallelRecalcTest, ChainRunsOneWavePerLink) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig serial(GetParam(), nullptr);
-  Rig parallel(GetParam(), &scheduler);
+  Rig serial(GetParam(), /*cutoff=*/false);
+  Rig waves(GetParam(), /*cutoff=*/true);
 
   constexpr int kRows = 60;
-  for (Rig* rig : {&serial, &parallel}) {
+  for (Rig* rig : {&serial, &waves}) {
     ASSERT_TRUE(rig->engine.SetNumber(Cell{1, 1}, 1.0).ok());
     EditBatch setup;
     setup.push_back(Edit::SetFormula(Cell{2, 1}, "A1+1"));
@@ -116,28 +103,27 @@ TEST_P(ParallelRecalcTest, ChainRunsOneWavePerLink) {
   }
 
   auto serial_result = serial.engine.SetNumber(Cell{1, 1}, 5.0);
-  auto parallel_result = parallel.engine.SetNumber(Cell{1, 1}, 5.0);
+  auto wave_result = waves.engine.SetNumber(Cell{1, 1}, 5.0);
   ASSERT_TRUE(serial_result.ok());
-  ASSERT_TRUE(parallel_result.ok());
+  ASSERT_TRUE(wave_result.ok());
   // A pure chain is inherently serial: one wave per link, 1 cell each.
-  EXPECT_EQ(parallel_result->waves, static_cast<uint64_t>(kRows));
-  EXPECT_EQ(parallel_result->max_wave_cells, 1u);
-  ExpectSameValues(&serial, &parallel, Range(1, 1, 2, kRows));
-  EXPECT_EQ(parallel.engine.GetValue(Cell{2, kRows}),
+  EXPECT_EQ(wave_result->waves, static_cast<uint64_t>(kRows));
+  EXPECT_EQ(wave_result->max_wave_cells, 1u);
+  EXPECT_EQ(wave_result->recalculated, serial_result->recalculated);
+  ExpectSameValues(&serial, &waves, Range(1, 1, 2, kRows));
+  EXPECT_EQ(waves.engine.GetValue(Cell{2, kRows}),
             Value::Number(5.0 + kRows));
 }
 
 TEST_P(ParallelRecalcTest, CycleCellsMatchSerialIncludingOrderSensitivity) {
-  ThreadPool pool(3);
-  RecalcScheduler scheduler(&pool, EagerOptions());
-  Rig serial(GetParam(), nullptr);
-  Rig parallel(GetParam(), &scheduler);
+  Rig serial(GetParam(), /*cutoff=*/false);
+  Rig waves(GetParam(), /*cutoff=*/true);
 
   // COUNT swallows errors, so the cycle's outcome depends on which
   // member is evaluated first — the sharpest determinism probe we have:
-  // serial evaluates in dirty-range enumeration order, and the parallel
-  // leftover pass must replay exactly that order.
-  for (Rig* rig : {&serial, &parallel}) {
+  // serial evaluates in dirty-range enumeration order, and the wave
+  // pass's leftover replay must follow exactly that order.
+  for (Rig* rig : {&serial, &waves}) {
     ASSERT_TRUE(rig->engine.SetNumber(Cell{4, 1}, 1.0).ok());  // D1
     EditBatch setup;
     setup.push_back(Edit::SetFormula(Cell{1, 1}, "COUNT(B1)+D1*0"));  // A1
@@ -150,35 +136,34 @@ TEST_P(ParallelRecalcTest, CycleCellsMatchSerialIncludingOrderSensitivity) {
 
   // Editing D1 dirties the cycle, its downstream, and the bystander.
   auto serial_result = serial.engine.SetNumber(Cell{4, 1}, 2.0);
-  auto parallel_result = parallel.engine.SetNumber(Cell{4, 1}, 2.0);
+  auto wave_result = waves.engine.SetNumber(Cell{4, 1}, 2.0);
   ASSERT_TRUE(serial_result.ok());
-  ASSERT_TRUE(parallel_result.ok());
-  EXPECT_EQ(parallel_result->recalculated, serial_result->recalculated);
-  ExpectSameValues(&serial, &parallel, Range(1, 1, 4, 2));
+  ASSERT_TRUE(wave_result.ok());
+  EXPECT_EQ(wave_result->waves, 1u);  // Just the bystander.
+  EXPECT_EQ(wave_result->recalculated, serial_result->recalculated);
+  ExpectSameValues(&serial, &waves, Range(1, 1, 4, 2));
 
   // Self-reference: the tightest cycle.
-  for (Rig* rig : {&serial, &parallel}) {
+  for (Rig* rig : {&serial, &waves}) {
     ASSERT_TRUE(rig->engine.SetFormula(Cell{5, 1}, "E1+D1").ok());
   }
   ASSERT_TRUE(serial.engine.SetNumber(Cell{4, 1}, 3.0).ok());
-  ASSERT_TRUE(parallel.engine.SetNumber(Cell{4, 1}, 3.0).ok());
-  ExpectSameValues(&serial, &parallel, Range(1, 1, 5, 2));
-  EXPECT_EQ(parallel.engine.GetValue(Cell{5, 1}),
+  ASSERT_TRUE(waves.engine.SetNumber(Cell{4, 1}, 3.0).ok());
+  ExpectSameValues(&serial, &waves, Range(1, 1, 5, 2));
+  EXPECT_EQ(waves.engine.GetValue(Cell{5, 1}),
             Value::Error(EvalError::kCycle));
 }
 
 TEST_P(ParallelRecalcTest, EdgeBudgetOverflowRunsSerialInline) {
-  ThreadPool pool(3);
   // An edge budget of 4 forces per-cell expansion to abort immediately:
-  // the pooled pass runs serial-inline on a normal workload.
-  SchedulerOptions options = EagerOptions();
-  options.max_edges = 4;
-  RecalcScheduler scheduler(&pool, options);
-  Rig serial(GetParam(), nullptr);
-  Rig parallel(GetParam(), &scheduler);
+  // the cutoff pass runs serial-inline, uncut, on a normal workload.
+  SchedulerOptions budgets;
+  budgets.max_edges = 4;
+  Rig serial(GetParam(), /*cutoff=*/false);
+  Rig waves(GetParam(), /*cutoff=*/true, budgets);
 
   constexpr int kRows = 40;
-  for (Rig* rig : {&serial, &parallel}) {
+  for (Rig* rig : {&serial, &waves}) {
     EditBatch setup;
     for (int r = 1; r <= kRows; ++r) {
       setup.push_back(Edit::SetNumber(Cell{1, r}, r * 1.0));
@@ -191,42 +176,41 @@ TEST_P(ParallelRecalcTest, EdgeBudgetOverflowRunsSerialInline) {
   }
 
   auto serial_result = serial.engine.SetNumber(Cell{1, 1}, 100.0);
-  auto parallel_result = parallel.engine.SetNumber(Cell{1, 1}, 100.0);
+  auto wave_result = waves.engine.SetNumber(Cell{1, 1}, 100.0);
   ASSERT_TRUE(serial_result.ok());
-  ASSERT_TRUE(parallel_result.ok());
-  EXPECT_EQ(parallel_result->waves, 0u);
-  EXPECT_EQ(parallel_result->recalculated, serial_result->recalculated);
-  ExpectSameValues(&serial, &parallel, Range(1, 1, 3, kRows));
+  ASSERT_TRUE(wave_result.ok());
+  EXPECT_EQ(wave_result->waves, 0u);
+  EXPECT_EQ(wave_result->cells_skipped_cutoff, 0u);
+  EXPECT_EQ(wave_result->recalculated, serial_result->recalculated);
+  ExpectSameValues(&serial, &waves, Range(1, 1, 3, kRows));
 }
 
-TEST_P(ParallelRecalcTest, TinyDirtySetsTakeTheSerialInlinePath) {
-  ThreadPool pool(3);
-  SchedulerOptions options;
-  options.threads = 3;
-  options.min_parallel_cells = 1000;  // Force the inline path.
-  RecalcScheduler scheduler(&pool, options);
-  Rig serial(GetParam(), nullptr);
-  Rig parallel(GetParam(), &scheduler);
-
-  for (Rig* rig : {&serial, &parallel}) {
-    ASSERT_TRUE(rig->engine.SetNumber(Cell{1, 1}, 2.0).ok());
-    ASSERT_TRUE(rig->engine.SetFormula(Cell{2, 1}, "A1*3").ok());
-    ASSERT_TRUE(rig->engine.SetFormula(Cell{2, 2}, "B1+1").ok());
+TEST_P(ParallelRecalcTest, PassesWithoutCutoffRunSerialInline) {
+  // No cutoff, nothing to prune: even a wide fan-out plans no waves.
+  Rig serial(GetParam(), /*cutoff=*/false);
+  constexpr int kRows = 100;
+  ASSERT_TRUE(serial.engine.SetNumber(Cell{1, 1}, 2.0).ok());
+  EditBatch setup;
+  for (int r = 1; r <= kRows; ++r) {
+    setup.push_back(Edit::SetFormula(Cell{2, r}, "A1*" + std::to_string(r)));
   }
-  auto serial_result = serial.engine.SetNumber(Cell{1, 1}, 4.0);
-  auto parallel_result = parallel.engine.SetNumber(Cell{1, 1}, 4.0);
-  ASSERT_TRUE(serial_result.ok());
-  ASSERT_TRUE(parallel_result.ok());
-  EXPECT_EQ(parallel_result->waves, 0u);  // Inline: no waves scheduled.
-  ExpectSameValues(&serial, &parallel, Range(1, 1, 2, 2));
+  ASSERT_TRUE(serial.engine.ApplyBatch(setup).ok());
+  auto result = serial.engine.SetNumber(Cell{1, 1}, 4.0);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->waves, 0u);
+  EXPECT_EQ(result->max_wave_cells, 0u);
+  EXPECT_EQ(result->recalculated, static_cast<uint64_t>(kRows));
+  EXPECT_EQ(serial.engine.GetValue(Cell{2, kRows}), Value::Number(4.0 * kRows));
 }
+
+INSTANTIATE_TEST_SUITE_P(Graphs, ParallelRecalcTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Taco" : "NoComp";
+                         });
 
 // ---------------------------------------------------------------------------
-// Randomized differential workloads: identical random edit batches are
-// applied once without a pool and once pooled; after every batch the
-// rigs must agree cell-for-cell (errors and #CYCLE! included) and on
-// recalc_passes/recalculated. Formulas reference cells in any direction,
-// so cycles, diamonds, and error propagation occur organically.
+// Randomized edit batches. Formulas reference cells in any direction, so
+// cycles, diamonds, and error propagation occur organically.
 // ---------------------------------------------------------------------------
 
 constexpr int kCols = 6;
@@ -285,80 +269,14 @@ Edit RandomEdit(std::mt19937* rng) {
   }
 }
 
-void RunRandomizedWorkload(bool taco, const SchedulerOptions& options,
-                           uint32_t seed, int rounds) {
-  ThreadPool pool(options.threads);
-  RecalcScheduler scheduler(&pool, options);
-  Rig serial(taco, nullptr);
-  Rig parallel(taco, &scheduler);
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<int> batch_size(1, 8);
-
-  const Range region(1, 1, kCols, kRows);
-  for (int round = 0; round < rounds; ++round) {
-    EditBatch batch;
-    int n = batch_size(rng);
-    for (int i = 0; i < n; ++i) batch.push_back(RandomEdit(&rng));
-
-    RecalcResult serial_partial, parallel_partial;
-    auto serial_result = serial.engine.ApplyBatch(batch, &serial_partial);
-    auto parallel_result =
-        parallel.engine.ApplyBatch(batch, &parallel_partial);
-    ASSERT_EQ(serial_result.ok(), parallel_result.ok())
-        << "round " << round << ": " << serial_result.status().ToString()
-        << " vs " << parallel_result.status().ToString();
-    const RecalcResult& s =
-        serial_result.ok() ? *serial_result : serial_partial;
-    const RecalcResult& p =
-        parallel_result.ok() ? *parallel_result : parallel_partial;
-    EXPECT_EQ(s.recalc_passes, p.recalc_passes) << "round " << round;
-    EXPECT_EQ(s.recalculated, p.recalculated) << "round " << round;
-    EXPECT_EQ(s.dirty_cells, p.dirty_cells) << "round " << round;
-    EXPECT_EQ(p.recalculated, p.dirty_formulas) << "round " << round;
-    EXPECT_EQ(p.cells_skipped_cutoff, 0u) << "round " << round;
-    ExpectSameValues(&serial, &parallel, region);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST_P(ParallelRecalcTest, RandomizedWorkloadsMatchCellForCell) {
-  for (uint32_t seed : {11u, 23u, 57u}) {
-    RunRandomizedWorkload(GetParam(), EagerOptions(), seed, 40);
-  }
-}
-
-TEST_P(ParallelRecalcTest, RandomizedWorkloadsMatchOverEdgeBudget) {
-  SchedulerOptions options = EagerOptions();
-  options.max_edges = 2;  // Nearly every pass runs serial-inline.
-  for (uint32_t seed : {5u, 71u}) {
-    RunRandomizedWorkload(GetParam(), options, seed, 30);
-  }
-}
-
-TEST_P(ParallelRecalcTest, RandomizedWorkloadsMatchAtDefaultBudgets) {
-  // Default thresholds: small batches go inline, bigger dirty sets hit
-  // the wave path — the mix a real service sees.
-  SchedulerOptions options;
-  options.threads = 4;
-  options.min_parallel_cells = 8;
-  options.min_parallel_wave = 2;
-  RunRandomizedWorkload(GetParam(), options, 99u, 40);
-}
-
-INSTANTIATE_TEST_SUITE_P(Graphs, ParallelRecalcTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Taco" : "NoComp";
-                         });
-
 // ---------------------------------------------------------------------------
-// Cutoff-vs-full differential: the same randomized workloads, but the
-// twin engines differ in the value-change cutoff flag instead of the
-// pool. Cutoff's contract is BY-CONSTRUCTION equality — every cell
-// it prunes is provably unreachable from a changed value — so the rigs
-// must agree cell-for-cell (errors and #CYCLE! included) across every
+// Cutoff-vs-full differential: twin engines that differ only in the
+// value-change cutoff flag take identical random batches. Cutoff's
+// contract is BY-CONSTRUCTION equality — every cell it prunes is
+// provably unreachable from a changed value — so the rigs must agree
+// cell-for-cell (errors and #CYCLE! included) across every
 // DependencyGraph implementation, since each graph shapes dirty sets
-// (and thus wave plans and prune opportunities) differently. Also the
-// TSan workload for the cell-wave loop's prime-then-dispatch ordering.
+// (and thus wave plans and prune opportunities) differently.
 // ---------------------------------------------------------------------------
 
 /// The ten graph configurations of the differential suite
@@ -416,10 +334,9 @@ const CutoffGraphSpec kCutoffSpecs[] = {
 
 /// Sheet + graph + engine with an explicit cutoff flag.
 struct CutoffRig {
-  CutoffRig(const CutoffGraphSpec& spec, RecalcScheduler* scheduler,
+  CutoffRig(const CutoffGraphSpec& spec, const SchedulerOptions& budgets,
             bool cutoff)
-      : graph(spec.make()), engine(&sheet, graph.get()) {
-    engine.set_scheduler(scheduler);
+      : graph(spec.make()), engine(&sheet, graph.get(), budgets) {
     engine.set_cutoff(cutoff);
   }
   Sheet sheet;
@@ -433,13 +350,10 @@ struct CutoffRig {
 /// `prunes` says whether the cutoff rig must prune somewhere in the run
 /// or nowhere at all (every pass over budget, so every pass runs uncut).
 void RunCutoffDifferential(const CutoffGraphSpec& spec,
-                           const SchedulerOptions& options, bool parallel,
-                           uint32_t seed, int rounds, bool prunes = true) {
-  ThreadPool pool(options.threads);
-  RecalcScheduler scheduler(&pool, options);
-  RecalcScheduler* plugged = parallel ? &scheduler : nullptr;
-  CutoffRig full(spec, plugged, /*cutoff=*/false);
-  CutoffRig cut(spec, plugged, /*cutoff=*/true);
+                           const SchedulerOptions& budgets, uint32_t seed,
+                           int rounds, bool prunes = true) {
+  CutoffRig full(spec, budgets, /*cutoff=*/false);
+  CutoffRig cut(spec, budgets, /*cutoff=*/true);
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> batch_size(1, 8);
 
@@ -497,23 +411,15 @@ class CutoffDifferentialTest
     : public ::testing::TestWithParam<const CutoffGraphSpec*> {};
 
 TEST_P(CutoffDifferentialTest, CellGranularWavesMatchFullRecalc) {
-  SchedulerOptions options = EagerOptions();
-  options.threads = 2;  // Matches the TSan CI job's recalc width.
-  RunCutoffDifferential(*GetParam(), options, /*parallel=*/true, 11u, 30);
+  for (uint32_t seed : {11u, 83u}) {
+    RunCutoffDifferential(*GetParam(), SchedulerOptions{}, seed, 30);
+  }
 }
 
 TEST_P(CutoffDifferentialTest, OverEdgeBudgetRunsUncutAndMatchesFullRecalc) {
-  SchedulerOptions options = EagerOptions();
-  options.threads = 2;
-  options.max_edges = 2;  // Over-budget passes run serial-inline, uncut.
-  RunCutoffDifferential(*GetParam(), options, /*parallel=*/true, 47u, 25,
-                        /*prunes=*/false);
-}
-
-TEST_P(CutoffDifferentialTest, SerialEngineCutoffMatchesFullRecalc) {
-  // No scheduler plugged: the engine's own pool-less one runs it.
-  SchedulerOptions options = EagerOptions();  // Only sizes the unused pool.
-  RunCutoffDifferential(*GetParam(), options, /*parallel=*/false, 83u, 25);
+  SchedulerOptions budgets;
+  budgets.max_edges = 2;  // Over-budget passes run serial-inline, uncut.
+  RunCutoffDifferential(*GetParam(), budgets, 47u, 25, /*prunes=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(

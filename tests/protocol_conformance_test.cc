@@ -176,10 +176,11 @@ void ExpectConformance(const Transcript& transcript) {
   }
 }
 
-std::string TempPath(const std::string& tag) {
+std::string TempPath(const std::string& tag,
+                     const std::string& extension = ".tsnap") {
   return (std::filesystem::temp_directory_path() /
           ("taco_conformance_" + tag + "." + std::to_string(::getpid()) +
-           ".tsheet"))
+           extension))
       .string();
 }
 
@@ -295,6 +296,7 @@ TEST(ProtocolConformanceTest, PersistenceVerbs) {
            "SET wb A1 7",
            "FORMULA wb B1 A1*6",
            "SAVE wb " + path,
+           "SAVE wb " + TempPath("persist", ".tsheet"),  // Text name: ERR.
            "SAVE wb",  // Bound path from the save above.
            "CLOSE wb",
            "LOAD back " + path,
@@ -385,8 +387,12 @@ TEST(ProtocolConformanceTest, ExplainVerb) {
            "FORMULA wb B1 A1*2",
            "FORMULA wb B2 B1+1",
            "FORMULA wb B3 SUM(B1:B2)",
-           "EXPLAIN wb A1",      // Chain: B1 -> B2 -> B3.
+           "EXPLAIN wb A1",      // Chain: B1 -> B2 -> B3, serial-inline.
            "GET wb B3",          // Unchanged by the dry run.
+           "RECALC wb cutoff on",
+           "FORMULA wb B4 B3+1",
+           "FORMULA wb B5 B4+1",
+           "EXPLAIN wb A1",      // Waves; B3..B5 share a WAVES line.
            "EXPLAIN wb A1:B3",   // Range target.
            "EXPLAIN wb Z99",     // No dependents: empty plan.
            "STATS wb",           // Same session stats on both transports.

@@ -2,8 +2,8 @@
 // GetValue/GetRange equivalence against a bare-engine oracle, range-
 // snapshot atomicity, the lazy first publish (and first readers racing
 // it), read metrics, and — the point of the whole design — concurrent
-// readers hammering a session mid-recalc (parallel waves, 2 threads)
-// without ever observing a torn state.
+// readers hammering a session mid-recalc (cutoff waves on the writer's
+// thread) without ever observing a torn state.
 
 #include <atomic>
 #include <cstdint>
@@ -342,12 +342,11 @@ TEST(ReadPathTest, RangeSnapshotsAreInternallyConsistent) {
 }
 
 // The torn-read hunt, built for TSan: one writer drives a 24-cell formula
-// chain through the PARALLEL recalc path (2 threads, thresholds zeroed so
-// every pass really schedules waves) while readers hammer GetValue and
-// GetRange. Every snapshot a reader takes must satisfy the chain
-// invariant cell[i] == A1 + i — i.e. be the complete result of one
-// committed recalc, never a mid-wave mix — and version ids must be
-// monotonic per reader. A serial session replays the same writes as the
+// chain through the wave recalc path (cutoff on, so every pass schedules
+// waves) while readers hammer GetValue and GetRange. Every snapshot a
+// reader takes must satisfy the chain invariant cell[i] == A1 + i — i.e.
+// be the complete result of one committed recalc, never a mid-wave mix —
+// and version ids must be monotonic per reader. A serial session replays the same writes as the
 // oracle for the final state.
 TEST(ReadPathTest, ConcurrentReadersNeverObserveTornRecalcState) {
   constexpr int kChain = 24;
@@ -355,12 +354,9 @@ TEST(ReadPathTest, ConcurrentReadersNeverObserveTornRecalcState) {
   constexpr int kReaders = 4;
 
   WorkbookServiceOptions options;
-  options.recalc_threads = 2;
-  options.scheduler.min_parallel_cells = 1;
-  options.scheduler.min_parallel_wave = 1;
+  options.cutoff = true;
   WorkbookService service(options);
   auto session = OpenSession(service, "book");
-  ASSERT_NE(service.recalc_scheduler(), nullptr);
 
   WorkbookService oracle_service;  // Serial, single-threaded replay.
   auto oracle = OpenSession(oracle_service, "oracle");

@@ -120,14 +120,6 @@ TEST(ServiceStressTest, ConcurrentSessionsMatchSerialOracle) {
   // --- Concurrent run: 4 writers (2 sessions each) + cross readers. ---
   WorkbookServiceOptions options;
   options.shards = 4;
-  // Wave-parallel recalc inside every session, with thresholds forced to
-  // zero so even these small dirty sets exercise the scheduler — the
-  // serial oracle below proves determinism THROUGH the whole service
-  // while TSan watches the scheduler run under real cross-session
-  // concurrency.
-  options.recalc_threads = 2;
-  options.scheduler.min_parallel_cells = 1;
-  options.scheduler.min_parallel_wave = 1;
   WorkbookService service(options);
   CommandProcessor processor(&service);
 
@@ -252,7 +244,7 @@ TEST(ServiceStressTest, ConcurrentEvictionParkReloadLosesNoEdits) {
   std::vector<std::string> paths(kBound);
   for (int i = 0; i < kBound; ++i) {
     paths[i] = (std::filesystem::temp_directory_path() /
-                ("taco_evict_stress_" + std::to_string(i) + ".tsheet"))
+                ("taco_evict_stress_" + std::to_string(i) + ".tsnap"))
                    .string();
     auto session = service.Open(session_name(i));
     ASSERT_TRUE(session.ok());

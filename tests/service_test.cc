@@ -300,20 +300,15 @@ TEST_F(ProtocolTest, StatsAndListReport) {
   EXPECT_TRUE(service_stats.ends_with("END"));
 }
 
-TEST(WorkbookServiceTest, ParallelRecalcMatchesSerialThroughTheService) {
-  WorkbookServiceOptions parallel_options;
-  parallel_options.recalc_threads = 3;
-  parallel_options.scheduler.min_parallel_cells = 1;
-  parallel_options.scheduler.min_parallel_wave = 1;
-  WorkbookService parallel_service(parallel_options);
-  WorkbookService serial_service;  // recalc_threads defaults to 0.
+TEST(WorkbookServiceTest, CutoffSessionsRunWavesAndMatchSerial) {
+  WorkbookServiceOptions cutoff_options;
+  cutoff_options.cutoff = true;
+  WorkbookService cutoff_service(cutoff_options);
+  WorkbookService serial_service;
 
-  auto parallel = *parallel_service.Open("book");
+  auto waves = *cutoff_service.Open("book");
   auto serial = *serial_service.Open("book");
-  EXPECT_NE(parallel_service.recalc_scheduler(), nullptr);
-  EXPECT_EQ(serial_service.recalc_scheduler(), nullptr);
-
-  for (auto& session : {parallel, serial}) {
+  for (auto& session : {waves, serial}) {
     EditBatch setup;
     setup.push_back(Edit::SetNumber(Cell{1, 1}, 7));
     for (int r = 1; r <= 50; ++r) {
@@ -322,21 +317,47 @@ TEST(WorkbookServiceTest, ParallelRecalcMatchesSerialThroughTheService) {
     }
     ASSERT_TRUE(session->ApplyBatch(setup).ok());
   }
-  auto presult = parallel->SetNumber(Cell{1, 1}, 3);
+  auto wresult = waves->SetNumber(Cell{1, 1}, 3);
   auto sresult = serial->SetNumber(Cell{1, 1}, 3);
-  ASSERT_TRUE(presult.ok());
+  ASSERT_TRUE(wresult.ok());
   ASSERT_TRUE(sresult.ok());
-  EXPECT_EQ(presult->recalculated, sresult->recalculated);
-  EXPECT_EQ(presult->waves, 1u);
+  EXPECT_EQ(wresult->recalculated, sresult->recalculated);
+  EXPECT_EQ(wresult->waves, 1u);
+  EXPECT_EQ(sresult->waves, 0u);
   for (const Cell& cell : EnumerateCells(Range(1, 1, 2, 50))) {
-    EXPECT_EQ(parallel->GetValue(cell), serial->GetValue(cell))
+    EXPECT_EQ(waves->GetValue(cell), serial->GetValue(cell))
         << cell.ToString();
   }
 
   // The session stats surface the wave metrics.
-  SessionStats stats = parallel->Stats();
+  SessionStats stats = waves->Stats();
   EXPECT_GE(stats.waves, 1u);
   EXPECT_GE(stats.max_wave_cells, 50u);
+}
+
+TEST(WorkbookServiceTest, SaveRefusesATsheetPathAndWritesNothing) {
+  std::string bound = TempPath("taco_service_bound.tsnap");
+  std::string text = TempPath("taco_service_refused.tsheet");
+  std::remove(text.c_str());
+  WorkbookService service;
+  auto session = *service.Open("book");
+  ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 4).ok());
+  ASSERT_TRUE(service.Save("book", bound).ok());
+  ASSERT_TRUE(session->SetNumber(Cell{1, 1}, 5).ok());
+  ASSERT_TRUE(session->Stats().dirty);
+
+  for (Status status : {service.Save("book", text), session->Checkpoint(text)}) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
+  EXPECT_FALSE(std::filesystem::exists(text));
+  // Binding and dirty flag are untouched: the next path-less save still
+  // goes to the snapshot bound above.
+  EXPECT_EQ(session->bound_path(), bound);
+  EXPECT_TRUE(session->Stats().dirty);
+  ASSERT_TRUE(service.Save("book").ok());
+  EXPECT_FALSE(session->Stats().dirty);
+  std::remove(bound.c_str());
 }
 
 TEST(WorkbookServiceTest, ConcurrentOpensOfAParkedSessionLoadOnce) {
@@ -376,11 +397,11 @@ TEST(WorkbookServiceTest, ConcurrentOpensOfAParkedSessionLoadOnce) {
   std::remove(path.c_str());
 }
 
-TEST_F(ProtocolTest, RecalcCommandReportsThreadsAndRejectsModeWords) {
-  // The recalc width is the service's pool; there is no per-session mode
-  // to switch, so the old mode words are usage errors.
+TEST_F(ProtocolTest, RecalcCommandReportsCutoffAndRejectsModeWords) {
+  // Recalc runs on the session thread; there is no mode to switch, so
+  // the old mode words are usage errors.
   Run("OPEN book");
-  EXPECT_EQ(Run("RECALC book"), "OK recalc book threads=0 cutoff=off");
+  EXPECT_EQ(Run("RECALC book"), "OK recalc book cutoff=off");
   EXPECT_TRUE(Run("RECALC book parallel")
                   .starts_with("ERR InvalidArgument: usage"));
   EXPECT_TRUE(Run("RECALC book serial")
@@ -388,17 +409,42 @@ TEST_F(ProtocolTest, RecalcCommandReportsThreadsAndRejectsModeWords) {
   EXPECT_TRUE(Run("RECALC").starts_with("ERR InvalidArgument: usage"));
   EXPECT_TRUE(Run("RECALC book sideways").starts_with("ERR InvalidArgument"));
 
-  WorkbookServiceOptions options;
-  options.recalc_threads = 2;
-  WorkbookService parallel_service(options);
-  CommandProcessor processor(&parallel_service);
-  EXPECT_EQ(processor.Execute("OPEN wb"), "OK opened wb");
-  EXPECT_EQ(processor.Execute("RECALC wb"), "OK recalc wb threads=2 cutoff=off");
-  std::string stats = processor.Execute("STATS wb");
+  std::string stats = Run("STATS book");
   EXPECT_NE(stats.find("waves="), std::string::npos) << stats;
-  std::string service_stats = processor.Execute("STATS");
-  EXPECT_NE(service_stats.find("recalc_workers=2"), std::string::npos)
+  std::string service_stats = Run("STATS");
+  EXPECT_TRUE(service_stats.starts_with("OK service resident=1 parked=0 "
+                                        "evictions=0\n"))
       << service_stats;
+}
+
+TEST_F(ProtocolTest, ExplainRunLengthEncodesEqualWaves) {
+  // B1 reads the edit directly (never prunable); B2..B6 are one-cell
+  // links that may prune: two wave shapes, so two wave lines, while
+  // PLAN keeps the true wave count.
+  Run("OPEN wb");
+  Run("SET wb A1 1");
+  Run("FORMULA wb B1 A1+1");
+  for (int r = 2; r <= 6; ++r) {
+    Run("FORMULA wb B" + std::to_string(r) + " B" + std::to_string(r - 1) +
+        "+1");
+  }
+  std::string serial = Run("EXPLAIN wb A1");
+  EXPECT_NE(serial.find("\nPLAN granularity=serial-inline "
+                        "decision=cutoff(off) formulas=6 edges=0 waves=0 "),
+            std::string::npos)
+      << serial;
+  EXPECT_EQ(serial.find("\nWAVE"), std::string::npos) << serial;
+
+  Run("RECALC wb cutoff on");
+  std::string waves = Run("EXPLAIN wb A1");
+  EXPECT_TRUE(waves.starts_with("OK explain session=wb target=A1 seeds=1 "))
+      << waves;
+  EXPECT_NE(waves.find(" waves=6 max_wave_cells=1 cycle_cells=0\n"
+                       "WAVE 1 cells=1 cutoff_eligible=0\n"
+                       "WAVES 2..6 cells=1 cutoff_eligible=1\n"
+                       "EST "),
+            std::string::npos)
+      << waves;
 }
 
 TEST_F(ProtocolTest, RecalcCutoffTogglePrunesAndReportsInStats) {
@@ -407,14 +453,14 @@ TEST_F(ProtocolTest, RecalcCutoffTogglePrunesAndReportsInStats) {
   // re-evaluates only up to the absorber, and STATS counts the rest as
   // cells_skipped.
   Run("OPEN wb");
-  EXPECT_EQ(Run("RECALC wb cutoff on"), "OK recalc wb threads=0 cutoff=on");
-  EXPECT_EQ(Run("RECALC wb cutoff off"), "OK recalc wb threads=0 cutoff=off");
+  EXPECT_EQ(Run("RECALC wb cutoff on"), "OK recalc wb cutoff=on");
+  EXPECT_EQ(Run("RECALC wb cutoff off"), "OK recalc wb cutoff=off");
   EXPECT_TRUE(Run("RECALC wb cutoff sideways")
                   .starts_with("ERR InvalidArgument: usage"));
   EXPECT_TRUE(Run("RECALC wb cutoff").starts_with("ERR InvalidArgument"));
   EXPECT_TRUE(Run("RECALC wb cutoff on extra")
                   .starts_with("ERR InvalidArgument: usage"));
-  EXPECT_EQ(Run("RECALC wb cutoff on"), "OK recalc wb threads=0 cutoff=on");
+  EXPECT_EQ(Run("RECALC wb cutoff on"), "OK recalc wb cutoff=on");
 
   // A1 -> B1 = IF(A1>100,1,0) -> C1 = B1+1 -> D1 = C1+1. Priming pass
   // first (cutoff needs cached priors), then an absorbed edit: A1=5 ->
